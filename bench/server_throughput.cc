@@ -1,19 +1,17 @@
 /**
  * @file
  * Networked-server throughput: a multi-connection client load
- * generator against the sharded TCP compile server, head-to-head
- * across both transports.
+ * generator against the sharded TCP compile server.
  *
  * This is the end-to-end serving measurement for the tier built in
  * src/server/: an in-process CompileServer (real loopback sockets, the
- * production code path) is driven by C concurrent client connections
- * issuing the repeated-request traffic the service tier targets.  Each
- * transport ("threads" = thread-per-connection, "epoll" = event-loop
- * multiplexing with the preserialized reply cache behind it) is
- * measured at pipeline depth 1 (pure request/reply round trips) and at
- * the configured pipeline depth (B requests per write, B replies per
- * round trip), in one run — so the committed baseline records the
- * head-to-head, not two incomparable files.  Measured per row:
+ * production code path: the event-loop transport with the
+ * preserialized reply cache behind it) is driven by C concurrent
+ * client connections issuing the repeated-request traffic the service
+ * tier targets, at pipeline depth 1 (pure request/reply round trips)
+ * and at the configured pipeline depth (B requests per write, B
+ * replies per round trip).  The in-process rows are labelled "epoll".
+ * Measured per row:
  *
  *   - warm requests/s across all connections (every request after the
  *     cold phase is a content-addressed cache hit on its home shard;
@@ -28,14 +26,14 @@
  *     drift past (process exits non-zero on mismatch).
  *
  * With --cold-fraction=F (0 < F < 1) an additional mixed phase runs
- * per transport at depth 1: each request is, with probability F (one
- * seeded Rng per client), a COLD compile — a never-seen cache key
- * minted from a unique anchor_box_margin — and otherwise a warm hit.
- * Warm and cold latencies are split, and the phase enforces the
- * overload-safety contract of the async cold path: the warm p99 under
- * mixed traffic must stay within 5x of the same transport's pure-warm
- * depth-1 p99 (a cold compile stalls only its own connection, never
- * the event loop), or the bench exits non-zero.
+ * at depth 1: each request is, with probability F (one seeded Rng per
+ * client), a COLD compile — a never-seen cache key minted from a
+ * unique anchor_box_margin — and otherwise a warm hit.  Warm and cold
+ * latencies are split, and the phase enforces the overload-safety
+ * contract of the async cold path: the warm p99 under mixed traffic
+ * must stay within 5x of the pure-warm depth-1 p99 (a cold compile
+ * stalls only its own connection, never the event loop), or the bench
+ * exits non-zero.
  *
  * With --fabric=N an additional phase measures the multi-process shard
  * fabric: N real square_served processes are forked (one shard + one
@@ -50,11 +48,11 @@
  * through the fabric, where hits depend on cross-process key stability
  * — exits non-zero.
  *
- * Two artifact-store phases ride along whenever the epoll transport is
- * measured.  The store-overhead phase is the persistence acceptance
- * gate: two fresh epoll servers — one appending to a --store log, one
- * without — run the identical warm pipelined load at the deepest depth
- * (interleaved, best-of), and warm throughput with the store on must
+ * Two artifact-store phases ride along.  The store-overhead phase is
+ * the persistence acceptance gate: two fresh servers — one appending
+ * to a --store log, one without — run the identical warm pipelined
+ * load at the deepest depth (interleaved, best-of), and warm
+ * throughput with the store on must
  * stay within 2% of off (publishes append asynchronously off the warm
  * path, and warm hits append nothing at all; the gate keeps it that
  * way) or the bench exits non-zero.  The restart phase measures the
@@ -68,8 +66,8 @@
  *
  * Pass --square_json=PATH for BENCH_server_throughput.json.  Flags:
  * --clients=N connections, --batches=N pipelined batches per client,
- * --pipeline-depth=B, --transport=threads|epoll|both, --shards=N,
- * --workers=N fleet workers per shard, --event-threads=N epoll loops,
+ * --pipeline-depth=B, --shards=N, --workers=N fleet workers per
+ * shard, --event-threads=N transport event loops,
  * --cold-fraction=F mixed-phase cold rate, --fabric=N shard daemons
  * (0 = skip), --served-bin=PATH shard binary (default: next to this
  * one), --smoke shrinks for CI.
@@ -370,7 +368,7 @@ struct MixedClientResult
     std::string error;
 };
 
-/** One measured mixed-traffic row (per transport). */
+/** One measured mixed-traffic row. */
 struct MixedRow
 {
     std::string transport;
@@ -459,9 +457,8 @@ runMixedClient(uint16_t port, int rounds, double cold_fraction,
 
 /** The mixed warm/cold phase: C depth-1 clients, F cold rate. */
 bool
-mixedPhase(CompileServer &server, const std::string &transport,
-           int clients, int rounds, double cold_fraction,
-           double pure_warm_p99, MixedRow &row)
+mixedPhase(CompileServer &server, int clients, int rounds,
+           double cold_fraction, double pure_warm_p99, MixedRow &row)
 {
     std::vector<MixedClientResult> results(
         static_cast<size_t>(clients));
@@ -492,7 +489,7 @@ mixedPhase(CompileServer &server, const std::string &transport,
     std::sort(warm.begin(), warm.end());
     std::sort(cold.begin(), cold.end());
 
-    row.transport = transport;
+    row.transport = "epoll";
     row.coldFraction = cold_fraction;
     row.requests = static_cast<int64_t>(warm.size() + cold.size());
     row.coldRequests = static_cast<int64_t>(cold.size());
@@ -509,27 +506,20 @@ mixedPhase(CompileServer &server, const std::string &transport,
     // the warm tail.  5x pure-warm p99 is deliberately loose — it
     // absorbs scheduler noise but still catches a cold path that
     // blocks the event loop (which inflates the warm tail by the
-    // compile time, orders of magnitude past 5x).  Enforced only for
-    // the epoll transport, whose async cold path makes the isolation
-    // promise: the threads transport compiles on the connection's own
-    // serving thread by design, so its mixed warm tail measures CPU
-    // contention (severe on a 1-core container), not a loop stall —
-    // its row is reported as the contrast, not gated.
-    // The bound is floored at one scheduler quantum: with ~200 warm
-    // samples the p99 IS the second-worst sample, and on a saturated
-    // 1-core host a single involuntary preemption (~1-3 ms) is
-    // indistinguishable from noise.  A real loop stall inflates the
-    // tail to the compile duration (>= 10 ms), far past the floor.
-    const bool enforce = transport == "epoll";
+    // compile time, orders of magnitude past 5x).  The bound is
+    // floored at one scheduler quantum: with ~200 warm samples the p99
+    // IS the second-worst sample, and on a saturated 1-core host a
+    // single involuntary preemption (~1-3 ms) is indistinguishable
+    // from noise.  A real loop stall inflates the tail to the compile
+    // duration (>= 10 ms), far past the floor.
     const double limit = std::max(5.0 * pure_warm_p99, 2.0);
     if (pure_warm_p99 > 0 && row.warmP99 > limit) {
         std::fprintf(stderr,
-                     "%s (%s, cold=%.2f): mixed warm p99 %.3f ms "
-                     "exceeds max(5x pure-warm p99 %.3f ms, 2 ms)\n",
-                     enforce ? "WARM-TAIL REGRESSION" : "note",
-                     transport.c_str(), cold_fraction, row.warmP99,
-                     pure_warm_p99);
-        return !enforce;
+                     "WARM-TAIL REGRESSION (cold=%.2f): mixed warm p99 "
+                     "%.3f ms exceeds max(5x pure-warm p99 %.3f ms, "
+                     "2 ms)\n",
+                     cold_fraction, row.warmP99, pure_warm_p99);
+        return false;
     }
     return true;
 }
@@ -552,7 +542,6 @@ metricsOverheadPhase(const ServerConfig &base, int clients, int batches,
     for (int trial = 0; trial < trials; ++trial) {
         for (const bool metrics_on : {false, true}) {
             ServerConfig cfg = base;
-            cfg.transport = "epoll";
             cfg.metrics = metrics_on;
             CompileServer server(cfg);
             std::string error;
@@ -597,7 +586,6 @@ recorderOverheadPhase(const ServerConfig &base, int clients,
         for (const bool recorder_on : {false, true}) {
             recorder.setEnabled(recorder_on);
             ServerConfig cfg = base;
-            cfg.transport = "epoll";
             CompileServer server(cfg);
             std::string error;
             if (!server.start(error)) {
@@ -647,7 +635,6 @@ storeOverheadPhase(const ServerConfig &base, const std::string &path,
     for (int trial = 0; trial < trials; ++trial) {
         for (const bool store_on : {false, true}) {
             ServerConfig cfg = base;
-            cfg.transport = "epoll";
             if (store_on) {
                 unlink(path.c_str());
                 cfg.storePath = path;
@@ -769,7 +756,6 @@ restartPhase(const ServerConfig &base, const std::string &path,
     // Cold leg: empty log, every key compiles.
     {
         ServerConfig cfg = base;
-        cfg.transport = "epoll";
         cfg.storePath = path;
         CompileServer server(cfg);
         std::string error;
@@ -793,7 +779,6 @@ restartPhase(const ServerConfig &base, const std::string &path,
     // Warm leg: same log, every key replays — zero compiles allowed.
     {
         ServerConfig cfg = base;
-        cfg.transport = "epoll";
         cfg.storePath = path;
         CompileServer server(cfg);
         std::string error;
@@ -904,8 +889,7 @@ spawnShards(const std::string &bin, int n, int workers,
         pid_t pid = fork();
         if (pid == 0) {
             execl(bin.c_str(), bin.c_str(), "--port=0", "--shards=1",
-                  workers_arg.c_str(), "--transport=epoll",
-                  port_file_arg.c_str(), "--quiet",
+                  workers_arg.c_str(), port_file_arg.c_str(), "--quiet",
                   static_cast<char *>(nullptr));
             _exit(127); // exec failed; the parent sees an empty port file
         }
@@ -966,7 +950,6 @@ main(int argc, char **argv)
     int fabric = 0;
     bool smoke = false;
     std::string served_bin;
-    std::string transport = "both";
     for (int i = 1; i < argc; ++i) {
         if (std::strncmp(argv[i], "--clients=", 10) == 0) {
             clients = std::atoi(argv[i] + 10);
@@ -980,8 +963,6 @@ main(int argc, char **argv)
             workers = std::atoi(argv[i] + 10);
         } else if (std::strncmp(argv[i], "--event-threads=", 16) == 0) {
             event_threads = std::atoi(argv[i] + 16);
-        } else if (std::strncmp(argv[i], "--transport=", 12) == 0) {
-            transport = argv[i] + 12;
         } else if (std::strncmp(argv[i], "--cold-fraction=", 16) == 0) {
             cold_fraction = std::atof(argv[i] + 16);
             if (cold_fraction < 0 || cold_fraction >= 1) {
@@ -1010,16 +991,6 @@ main(int argc, char **argv)
     if (clients < 1 || batches < 1 || depth < 1 || shards < 1 ||
         workers < 1 || event_threads < 1) {
         std::fprintf(stderr, "all knobs must be >= 1\n");
-        return 1;
-    }
-    std::vector<std::string> transports;
-    if (transport == "both")
-        transports = {"threads", "epoll"};
-    else if (transport == "threads" || transport == "epoll")
-        transports = {transport};
-    else {
-        std::fprintf(stderr,
-                     "--transport must be threads|epoll|both\n");
         return 1;
     }
     std::vector<int> depths = {1};
@@ -1051,58 +1022,51 @@ main(int argc, char **argv)
     std::vector<MixedRow> mixed_rows;
     double cold_ms_first = 0;
     bool golden_all = true;
-    for (const std::string &t : transports) {
-        ServerConfig cfg;
-        cfg.shards = shards;
-        cfg.workersPerShard = workers;
-        cfg.transport = t;
-        cfg.eventThreads = event_threads;
-        CompileServer server(cfg);
+    ServerConfig base;
+    base.shards = shards;
+    base.workersPerShard = workers;
+    base.eventThreads = event_threads;
+    {
+        CompileServer server(base);
         std::string error;
         if (!server.start(error)) {
-            std::fprintf(stderr, "server start failed (%s): %s\n",
-                         t.c_str(), error.c_str());
+            std::fprintf(stderr, "server start failed: %s\n",
+                         error.c_str());
             return 1;
         }
 
-        double cold_ms = 0;
-        if (!coldPhase(server.port(), cold_ms))
+        if (!coldPhase(server.port(), cold_ms_first))
             return 1;
-        if (cold_ms_first == 0)
-            cold_ms_first = cold_ms;
 
         for (int d : depths) {
             PhaseRow row;
-            if (!loadPhase(server.port(), server.transport(), t,
+            if (!loadPhase(server.port(), server.transport(), "epoll",
                            clients, batches, d, row))
                 return 1;
             rows.push_back(row);
         }
 
         if (cold_fraction > 0) {
-            // rows.front() for this transport is the depth-1 pure-warm
-            // phase (depths always starts at 1), the baseline for the
-            // warm-tail isolation check.
-            const double pure_warm_p99 =
-                rows[rows.size() - depths.size()].p99;
+            // rows.front() is the depth-1 pure-warm phase (depths
+            // always starts at 1), the baseline for the warm-tail
+            // isolation check.
             MixedRow mrow;
-            if (!mixedPhase(server, t, clients, batches, cold_fraction,
-                            pure_warm_p99, mrow))
+            if (!mixedPhase(server, clients, batches, cold_fraction,
+                            rows.front().p99, mrow))
                 return 1;
             mixed_rows.push_back(mrow);
         }
 
-        const bool golden = goldenPhase(server.port());
-        golden_all = golden_all && golden;
+        golden_all = goldenPhase(server.port());
 
-        // Per-shard balance (key-affine routing) for this transport.
+        // Per-shard balance (key-affine routing).
         RouterStats rs = server.router().stats();
-        std::printf("[%s] per-shard balance:", t.c_str());
+        std::printf("[epoll] per-shard balance:");
         for (size_t s = 0; s < rs.shards.size(); ++s)
             std::printf("  shard %zu: %lld reqs / %lld compiles", s,
                         static_cast<long long>(rs.shards[s].requests),
                         static_cast<long long>(rs.shards[s].compiles));
-        std::printf("  golden: %s\n", golden ? "yes" : "NO");
+        std::printf("  golden: %s\n", golden_all ? "yes" : "NO");
         server.stop();
     }
 
@@ -1110,123 +1074,99 @@ main(int argc, char **argv)
     // gate — warm throughput at the deepest pipeline depth with
     // histogram recording on must stay within 2% of recording off.
     double metrics_on_rps = 0, metrics_off_rps = 0;
-    double metrics_overhead = 0;
-    const bool ran_metrics_phase =
-        std::find(transports.begin(), transports.end(), "epoll") !=
-        transports.end();
-    if (ran_metrics_phase) {
-        ServerConfig base;
-        base.shards = shards;
-        base.workersPerShard = workers;
-        base.eventThreads = event_threads;
-        if (!metricsOverheadPhase(base, clients, batches, depth,
-                                  smoke ? 1 : 2, metrics_on_rps,
-                                  metrics_off_rps))
-            return 1;
-        metrics_overhead =
-            metrics_off_rps > 0
-                ? (metrics_off_rps - metrics_on_rps) / metrics_off_rps
-                : 0.0;
-        std::printf("\nmetrics overhead (epoll, depth %d): on %.0f "
-                    "req/s vs off %.0f req/s => %+.2f%%\n",
-                    depth, metrics_on_rps, metrics_off_rps,
-                    metrics_overhead * 100.0);
-        // Smoke runs are too short to resolve 2% — report, don't gate.
-        if (!smoke && metrics_overhead > 0.02) {
-            std::fprintf(stderr,
-                         "METRICS OVERHEAD REGRESSION: %.2f%% > 2%% "
-                         "at pipeline depth %d\n",
-                         metrics_overhead * 100.0, depth);
-            return 1;
-        }
+    if (!metricsOverheadPhase(base, clients, batches, depth,
+                              smoke ? 1 : 2, metrics_on_rps,
+                              metrics_off_rps))
+        return 1;
+    const double metrics_overhead =
+        metrics_off_rps > 0
+            ? (metrics_off_rps - metrics_on_rps) / metrics_off_rps
+            : 0.0;
+    std::printf("\nmetrics overhead (epoll, depth %d): on %.0f "
+                "req/s vs off %.0f req/s => %+.2f%%\n",
+                depth, metrics_on_rps, metrics_off_rps,
+                metrics_overhead * 100.0);
+    // Smoke runs are too short to resolve 2% — report, don't gate.
+    if (!smoke && metrics_overhead > 0.02) {
+        std::fprintf(stderr,
+                     "METRICS OVERHEAD REGRESSION: %.2f%% > 2%% "
+                     "at pipeline depth %d\n",
+                     metrics_overhead * 100.0, depth);
+        return 1;
     }
 
     // Recorder-overhead phase: the flight recorder's acceptance gate —
     // same shape, toggling the per-thread ring recording instead.
     double recorder_on_rps = 0, recorder_off_rps = 0;
-    double recorder_overhead = 0;
-    if (ran_metrics_phase) {
-        ServerConfig base;
-        base.shards = shards;
-        base.workersPerShard = workers;
-        base.eventThreads = event_threads;
-        if (!recorderOverheadPhase(base, clients, batches, depth,
-                                   smoke ? 1 : 2, recorder_on_rps,
-                                   recorder_off_rps))
-            return 1;
-        recorder_overhead =
-            recorder_off_rps > 0
-                ? (recorder_off_rps - recorder_on_rps) /
-                      recorder_off_rps
-                : 0.0;
-        std::printf("recorder overhead (epoll, depth %d): on %.0f "
-                    "req/s vs off %.0f req/s => %+.2f%%\n",
-                    depth, recorder_on_rps, recorder_off_rps,
-                    recorder_overhead * 100.0);
-        if (!smoke && recorder_overhead > 0.02) {
-            std::fprintf(stderr,
-                         "RECORDER OVERHEAD REGRESSION: %.2f%% > 2%% "
-                         "at pipeline depth %d\n",
-                         recorder_overhead * 100.0, depth);
-            return 1;
-        }
+    if (!recorderOverheadPhase(base, clients, batches, depth,
+                               smoke ? 1 : 2, recorder_on_rps,
+                               recorder_off_rps))
+        return 1;
+    const double recorder_overhead =
+        recorder_off_rps > 0
+            ? (recorder_off_rps - recorder_on_rps) /
+                  recorder_off_rps
+            : 0.0;
+    std::printf("recorder overhead (epoll, depth %d): on %.0f "
+                "req/s vs off %.0f req/s => %+.2f%%\n",
+                depth, recorder_on_rps, recorder_off_rps,
+                recorder_overhead * 100.0);
+    if (!smoke && recorder_overhead > 0.02) {
+        std::fprintf(stderr,
+                     "RECORDER OVERHEAD REGRESSION: %.2f%% > 2%% "
+                     "at pipeline depth %d\n",
+                     recorder_overhead * 100.0, depth);
+        return 1;
     }
 
     // Store-overhead phase: the artifact store's acceptance gate —
     // warm throughput at the deepest pipeline depth with a store
     // behind the publish sink must stay within 2% of no store.
     double store_on_rps = 0, store_off_rps = 0;
-    double store_overhead = 0;
     RestartRow restart_cold, restart_warm;
     const int restart_keys = smoke ? 6 : 48;
-    if (ran_metrics_phase) {
-        const std::string store_path =
-            "bench_store." + std::to_string(getpid()) + ".store";
-        ServerConfig base;
-        base.shards = shards;
-        base.workersPerShard = workers;
-        base.eventThreads = event_threads;
-        if (!storeOverheadPhase(base, store_path, clients, batches,
-                                depth, smoke ? 1 : 2, store_on_rps,
-                                store_off_rps))
-            return 1;
-        store_overhead =
-            store_off_rps > 0
-                ? (store_off_rps - store_on_rps) / store_off_rps
-                : 0.0;
-        std::printf("store overhead (epoll, depth %d): on %.0f req/s "
-                    "vs off %.0f req/s => %+.2f%%\n",
-                    depth, store_on_rps, store_off_rps,
-                    store_overhead * 100.0);
-        if (!smoke && store_overhead > 0.02) {
-            std::fprintf(stderr,
-                         "STORE OVERHEAD REGRESSION: %.2f%% > 2%% at "
-                         "pipeline depth %d\n",
-                         store_overhead * 100.0, depth);
-            return 1;
-        }
-
-        // Restart phase: the store's headline — warm-restart
-        // time-to-hit-rate-1.0 vs recompiling the working set.
-        if (!restartPhase(base, store_path, restart_keys, restart_cold,
-                          restart_warm))
-            return 1;
-        std::printf(
-            "restart (%d unique keys): cold start %.1f ms to hit rate "
-            "1.0 (%lld compiles; start %.1f + serve %.1f) vs warm "
-            "restart %.1f ms (%lld compiles, %lld replayed; start "
-            "%.1f + serve %.1f) => %.1fx\n",
-            restart_keys, restart_cold.totalMs,
-            static_cast<long long>(restart_cold.compiles),
-            restart_cold.startMs, restart_cold.serveMs,
-            restart_warm.totalMs,
-            static_cast<long long>(restart_warm.compiles),
-            static_cast<long long>(restart_warm.replayed),
-            restart_warm.startMs, restart_warm.serveMs,
-            restart_warm.totalMs > 0
-                ? restart_cold.totalMs / restart_warm.totalMs
-                : 0.0);
+    const std::string store_path =
+        "bench_store." + std::to_string(getpid()) + ".store";
+    if (!storeOverheadPhase(base, store_path, clients, batches,
+                            depth, smoke ? 1 : 2, store_on_rps,
+                            store_off_rps))
+        return 1;
+    const double store_overhead =
+        store_off_rps > 0
+            ? (store_off_rps - store_on_rps) / store_off_rps
+            : 0.0;
+    std::printf("store overhead (epoll, depth %d): on %.0f req/s "
+                "vs off %.0f req/s => %+.2f%%\n",
+                depth, store_on_rps, store_off_rps,
+                store_overhead * 100.0);
+    if (!smoke && store_overhead > 0.02) {
+        std::fprintf(stderr,
+                     "STORE OVERHEAD REGRESSION: %.2f%% > 2%% at "
+                     "pipeline depth %d\n",
+                     store_overhead * 100.0, depth);
+        return 1;
     }
+
+    // Restart phase: the store's headline — warm-restart
+    // time-to-hit-rate-1.0 vs recompiling the working set.
+    if (!restartPhase(base, store_path, restart_keys, restart_cold,
+                      restart_warm))
+        return 1;
+    std::printf(
+        "restart (%d unique keys): cold start %.1f ms to hit rate "
+        "1.0 (%lld compiles; start %.1f + serve %.1f) vs warm "
+        "restart %.1f ms (%lld compiles, %lld replayed; start "
+        "%.1f + serve %.1f) => %.1fx\n",
+        restart_keys, restart_cold.totalMs,
+        static_cast<long long>(restart_cold.compiles),
+        restart_cold.startMs, restart_cold.serveMs,
+        restart_warm.totalMs,
+        static_cast<long long>(restart_warm.compiles),
+        static_cast<long long>(restart_warm.replayed),
+        restart_warm.startMs, restart_warm.serveMs,
+        restart_warm.totalMs > 0
+            ? restart_cold.totalMs / restart_warm.totalMs
+            : 0.0);
 
     // Fabric phase: N forked shard daemons behind an in-process
     // consistent-hash router, same cold/load/golden sequence.
@@ -1363,27 +1303,25 @@ main(int argc, char **argv)
         report.header.push_back(
             jsonInt("golden_identical", golden_all));
         report.header.push_back(jsonInt("fabric_shards", fabric));
-        if (ran_metrics_phase) {
-            report.header.push_back(
-                jsonNum("metrics_on_rps", metrics_on_rps, 0));
-            report.header.push_back(
-                jsonNum("metrics_off_rps", metrics_off_rps, 0));
-            report.header.push_back(jsonNum(
-                "metrics_overhead_pct", metrics_overhead * 100.0, 2));
-            report.header.push_back(
-                jsonNum("recorder_on_rps", recorder_on_rps, 0));
-            report.header.push_back(
-                jsonNum("recorder_off_rps", recorder_off_rps, 0));
-            report.header.push_back(
-                jsonNum("recorder_overhead_pct",
-                        recorder_overhead * 100.0, 2));
-            report.header.push_back(
-                jsonNum("store_on_rps", store_on_rps, 0));
-            report.header.push_back(
-                jsonNum("store_off_rps", store_off_rps, 0));
-            report.header.push_back(jsonNum(
-                "store_overhead_pct", store_overhead * 100.0, 2));
-        }
+        report.header.push_back(
+            jsonNum("metrics_on_rps", metrics_on_rps, 0));
+        report.header.push_back(
+            jsonNum("metrics_off_rps", metrics_off_rps, 0));
+        report.header.push_back(jsonNum(
+            "metrics_overhead_pct", metrics_overhead * 100.0, 2));
+        report.header.push_back(
+            jsonNum("recorder_on_rps", recorder_on_rps, 0));
+        report.header.push_back(
+            jsonNum("recorder_off_rps", recorder_off_rps, 0));
+        report.header.push_back(
+            jsonNum("recorder_overhead_pct",
+                    recorder_overhead * 100.0, 2));
+        report.header.push_back(
+            jsonNum("store_on_rps", store_on_rps, 0));
+        report.header.push_back(
+            jsonNum("store_off_rps", store_off_rps, 0));
+        report.header.push_back(jsonNum(
+            "store_overhead_pct", store_overhead * 100.0, 2));
         if (fabric > 0) {
             report.header.push_back(
                 jsonInt("fabric_forwarded", fabric_stats.forwarded));
@@ -1406,25 +1344,23 @@ main(int argc, char **argv)
                  jsonNum("mean_flush_batch", r.meanFlushBatch, 1),
                  jsonInt("max_flush_batch", r.maxFlushBatch)});
         }
-        if (ran_metrics_phase) {
-            for (const RestartRow *r : {&restart_cold, &restart_warm}) {
-                report.addRow(
-                    {jsonStr("phase", "restart"),
-                     jsonStr("mode", r->mode),
-                     jsonInt("unique_keys", restart_keys),
-                     jsonNum("start_ms", r->startMs, 1),
-                     jsonNum("serve_ms", r->serveMs, 1),
-                     jsonNum("time_to_full_hit_ms", r->totalMs, 1),
-                     jsonInt("requests", r->requests),
-                     jsonNum("hit_rate",
-                             r->requests > 0
-                                 ? static_cast<double>(r->hits) /
-                                       static_cast<double>(r->requests)
-                                 : 0.0,
-                             3),
-                     jsonInt("compiles", r->compiles),
-                     jsonInt("replayed", r->replayed)});
-            }
+        for (const RestartRow *r : {&restart_cold, &restart_warm}) {
+            report.addRow(
+                {jsonStr("phase", "restart"),
+                 jsonStr("mode", r->mode),
+                 jsonInt("unique_keys", restart_keys),
+                 jsonNum("start_ms", r->startMs, 1),
+                 jsonNum("serve_ms", r->serveMs, 1),
+                 jsonNum("time_to_full_hit_ms", r->totalMs, 1),
+                 jsonInt("requests", r->requests),
+                 jsonNum("hit_rate",
+                         r->requests > 0
+                             ? static_cast<double>(r->hits) /
+                                   static_cast<double>(r->requests)
+                             : 0.0,
+                         3),
+                 jsonInt("compiles", r->compiles),
+                 jsonInt("replayed", r->replayed)});
         }
         for (const MixedRow &r : mixed_rows) {
             report.addRow(

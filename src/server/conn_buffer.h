@@ -1,10 +1,10 @@
 /**
  * @file
- * Per-connection I/O buffers for the serving tier's transports.
+ * Per-connection I/O buffers for the serving tier's transport and client.
  *
  * The framing rules of the NDJSON protocol live here, factored out of
  * any particular I/O model so the blocking LineReader (net.h) and the
- * epoll event loop (epoll_transport.h) share one implementation:
+ * transport's event loop (transport.h) share one implementation:
  *
  *  - ReadBuffer accumulates raw bytes and hands back complete lines as
  *    string_views — no per-line allocation, no per-line memmove; the

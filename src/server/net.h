@@ -52,7 +52,7 @@ sendLine(int fd, std::string line)
 /**
  * Disable Nagle on a connected socket.  Protocol replies are small
  * and latency-bound: without NODELAY a pipelined peer pays Nagle +
- * delayed-ACK stalls (~40 ms).  Both transports and the client call
+ * delayed-ACK stalls (~40 ms).  The transport and the client call
  * this on every connection.
  */
 void setNoDelay(int fd);
@@ -79,7 +79,7 @@ void closeFd(int fd);
  * connection.
  *
  * Framing is delegated to ReadBuffer (conn_buffer.h) — the same
- * implementation the epoll transport multiplexes — so nextView() hands
+ * implementation the transport's event loop uses — so nextView() hands
  * out lines with zero copies: the view stays valid until the next
  * call.  next() keeps the copying contract for callers that store the
  * line.
@@ -112,14 +112,10 @@ class LineReader
      */
     Status nextView(std::string_view &out);
 
-    /** recv() syscalls issued so far (transport stats). */
-    int64_t recvCalls() const { return recvCalls_; }
-
   private:
     int fd_;
     ReadBuffer buf_;
     bool eof_ = false;
-    int64_t recvCalls_ = 0;
 };
 
 } // namespace square::net

@@ -97,14 +97,7 @@ RouterServer::start(std::string &error)
     }
     if (!pool_->start(error))
         return false;
-    // Epoll only: a forwarded request completes out-of-band via the
-    // connection's AsyncReplySink, which the thread-per-connection
-    // transport does not provide.
-    TransportOptions opts;
-    opts.eventThreads = cfg_.eventThreads;
-    transport_ = makeTransport("epoll", opts, error);
-    if (transport_ == nullptr)
-        return false;
+    transport_ = std::make_unique<Transport>(cfg_.eventThreads);
     if (!transport_->start(
             cfg_.host, cfg_.port,
             [this](std::string_view line, std::string &out,
@@ -117,8 +110,7 @@ RouterServer::start(std::string &error)
     obs::Postmortem &pm = obs::Postmortem::instance();
     pm.registerRegistry("router", &metrics_);
     pm.registerRegistry("upstream", &pool_->metricsRegistry());
-    if (transport_->metricsRegistry() != nullptr)
-        pm.registerRegistry("transport", transport_->metricsRegistry());
+    pm.registerRegistry("transport", &transport_->metricsRegistry());
     pm.registerRegistry("watchdog",
                         &obs::Watchdog::instance().metricsRegistry());
     return true;
@@ -138,8 +130,7 @@ RouterServer::stop()
     // call forward(), so the pool's teardown flush is the last word on
     // every in-flight request.
     if (transport_ != nullptr) {
-        if (transport_->metricsRegistry() != nullptr)
-            pm.unregisterRegistry(transport_->metricsRegistry());
+        pm.unregisterRegistry(&transport_->metricsRegistry());
         transport_->stop();
     }
     if (pool_ != nullptr)
@@ -222,12 +213,9 @@ RouterServer::renderMetricsText()
     obs::renderPrometheus(text, "square_router", {{"", &metrics_}});
     obs::renderPrometheus(text, "square_upstream",
                           {{"", &pool_->metricsRegistry()}});
-    if (transport_ != nullptr &&
-        transport_->metricsRegistry() != nullptr) {
-        obs::renderPrometheus(
-            text, "square_transport",
-            {{"", transport_->metricsRegistry()}});
-    }
+    if (transport_ != nullptr)
+        obs::renderPrometheus(text, "square_transport",
+                              {{"", &transport_->metricsRegistry()}});
     obs::renderPrometheus(
         text, "square_watchdog",
         {{"", &obs::Watchdog::instance().metricsRegistry()}});

@@ -24,9 +24,8 @@
  * id; the resolved key rides along (protocol.h inter-tier framing) so
  * shard warm hits skip re-resolution; the upstream pool demultiplexes
  * the shard's reply back to the originating connection and restores
- * the client's framing.  The transport is epoll-only: a forwarded
- * request *must* complete out-of-band (AsyncReplySink), which the
- * thread-per-connection transport cannot do.
+ * the client's framing.  A forwarded request completes out-of-band
+ * through the connection's AsyncReplySink (transport.h).
  *
  * Administrative commands are answered locally: "ping" (health),
  * "stats" (fanned out to every up shard over short-lived connections
@@ -60,7 +59,7 @@ struct RouterConfig
     uint16_t port = 0; ///< 0 = ephemeral
     /** Shard daemon addresses, "host:port" each. */
     std::vector<std::string> shards;
-    /** Event-loop threads for the client-facing epoll transport. */
+    /** Event-loop threads for the client-facing transport. */
     int eventThreads = 1;
     /** Upstream pool tunables (ring, health checks, retry hint). */
     UpstreamConfig upstream;

@@ -138,11 +138,7 @@ CompileServer::start(std::string &error)
                          replayed, good_bytes);
     }
 
-    TransportOptions opts;
-    opts.eventThreads = cfg_.eventThreads;
-    transport_ = makeTransport(cfg_.transport, opts, error);
-    if (transport_ == nullptr)
-        return false;
+    transport_ = std::make_unique<Transport>(cfg_.eventThreads);
     if (!transport_->start(
             cfg_.host, cfg_.port,
             [this](std::string_view line, std::string &out,
@@ -161,8 +157,7 @@ CompileServer::start(std::string &error)
         pm.registerRegistry(prefix,
                             &router_.shard(i).metricsRegistry());
     }
-    if (transport_->metricsRegistry() != nullptr)
-        pm.registerRegistry("transport", transport_->metricsRegistry());
+    pm.registerRegistry("transport", &transport_->metricsRegistry());
     pm.registerRegistry("watchdog",
                         &obs::Watchdog::instance().metricsRegistry());
     if (store_ != nullptr)
@@ -180,8 +175,7 @@ CompileServer::stop()
     // released too, or start/stop churn (tests) fills the table.
     pm.unregisterRegistry(&obs::Watchdog::instance().metricsRegistry());
     if (transport_ != nullptr) {
-        if (transport_->metricsRegistry() != nullptr)
-            pm.unregisterRegistry(transport_->metricsRegistry());
+        pm.unregisterRegistry(&transport_->metricsRegistry());
         transport_->stop();
     }
     if (store_ != nullptr) {
@@ -311,7 +305,7 @@ CompileServer::handleLineTo(std::string_view line, std::string &out,
         req.trace = trace;
     }
 
-    if (async != nullptr && cfg_.asyncColdPath) {
+    if (async != nullptr) {
         // Non-blocking serve: resolve here (cheap — the program comes
         // from the router's shared name cache), then let the shard
         // decide sync (hit / shed / expired) vs async (real compile).
@@ -398,12 +392,9 @@ CompileServer::renderMetricsText()
     }
     std::string text;
     obs::renderPrometheus(text, "square_service", regs);
-    if (transport_ != nullptr &&
-        transport_->metricsRegistry() != nullptr) {
-        obs::renderPrometheus(
-            text, "square_transport",
-            {{"", transport_->metricsRegistry()}});
-    }
+    if (transport_ != nullptr)
+        obs::renderPrometheus(text, "square_transport",
+                              {{"", &transport_->metricsRegistry()}});
     obs::renderPrometheus(
         text, "square_watchdog",
         {{"", &obs::Watchdog::instance().metricsRegistry()}});

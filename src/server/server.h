@@ -1,7 +1,7 @@
 /**
  * @file
- * The networked compile server: TcpTransport x ShardRouter x the
- * NDJSON protocol.
+ * The networked compile server: Transport x ShardRouter x the NDJSON
+ * protocol.
  *
  * CompileServer binds a loopback (or configured) address, frames the
  * existing src/service/protocol.h request/reply grammar over
@@ -64,25 +64,12 @@ struct ServerConfig
     uint16_t port = 0;
     int shards = 2;
     int workersPerShard = 1;
-    /**
-     * Transport kind (see transport.h): "epoll" (event-loop
-     * multiplexing, the wire-speed default) or "threads"
-     * (thread-per-connection).
-     */
-    std::string transport = "epoll";
-    /** Event-loop threads for the epoll transport. */
+    /** Event-loop threads for the transport. */
     int eventThreads = 1;
     /** Per-shard LRU result-cache bound (zero = unbounded). */
     CacheLimits limits;
     /** Per-shard compile-queue bound (zero maxPending = admit all). */
     AdmissionLimits admission;
-    /**
-     * Dispatch cold misses onto the shard's worker pool and complete
-     * them through the transport's async sink (when the transport has
-     * one), so a compile never blocks an event loop.  Off = the PR-5
-     * behaviour: misses compile on the transport thread.
-     */
-    bool asyncColdPath = true;
     /**
      * Latency-histogram recording on the serving path (counters always
      * run; see CompileService::setMetricsEnabled).  The warm-path
@@ -149,17 +136,21 @@ class CompileServer
      * newline) to @p out — nothing for protocol no-ops.  This is the
      * transport's LineHandler: warm hits append the preserialized
      * reply bytes straight into the connection's write buffer.  With
-     * a non-null @p async sink (the epoll transport) and the async
-     * cold path enabled, a miss appends nothing now — the reply
-     * arrives through the sink once a pool worker finishes the
-     * compile — while warm hits, sheds, and errors still reply
-     * synchronously.
+     * a non-null @p async sink (every transport connection), a miss
+     * appends nothing now — the reply arrives through the sink once a
+     * pool worker finishes the compile — while warm hits, sheds, and
+     * errors still reply synchronously.  With a null sink a miss
+     * compiles on the calling thread.
      */
     void handleLineTo(std::string_view line, std::string &out,
                       bool &close_conn,
                       const std::shared_ptr<AsyncReplySink> &async);
 
-    /** Synchronous-only overload (tests, threads transport). */
+    /**
+     * Synchronous overload (null sink): serves the protocol without
+     * sockets — tests, square_serve's stdin loop, the benchmark's
+     * layer replay.
+     */
     void handleLineTo(std::string_view line, std::string &out,
                       bool &close_conn);
 

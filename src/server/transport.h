@@ -1,56 +1,80 @@
 /**
  * @file
- * The transport interface of the serving tier.
+ * The serving tier's transport: an epoll-multiplexed event loop.
  *
  * A Transport owns a listening socket and delivers newline-framed
  * request lines to a LineHandler, writing whatever the handler appends
- * back to the peer.  Two implementations exist behind this interface:
+ * back to the peer.  It multiplexes all connections over N event-loop
+ * threads (memcached/redis lineage — see PAPERS.md):
  *
- *  - "threads": TcpTransport (tcp_transport.h) — one blocking thread
- *    per connection, the PR-4 shape.  Simple, and fine while
- *    connection counts stay below a few hundred.
- *  - "epoll": EpollTransport (epoll_transport.h) — N event-loop
- *    threads multiplexing non-blocking connections, with pipelined
- *    request parsing and corked batch writes.  The wire-speed warm
- *    path.
+ *  - every socket is non-blocking; readiness is level-triggered epoll;
+ *  - each connection is owned by exactly ONE event loop for its whole
+ *    life (the acceptor hands fresh fds round-robin to the loops via a
+ *    per-loop inbox + eventfd wake), so per-connection state needs no
+ *    locks — an invariant TSan checks in CI;
+ *  - a read slurps until EAGAIN, then every complete buffered line is
+ *    parsed and handled back-to-back; the replies of that pipelined
+ *    batch are corked into the connection's WriteBuffer and flushed
+ *    with one gathered send() — syscalls per request approach 2/B for
+ *    pipeline depth B, instead of a recv()+send() pair per request;
+ *  - write interest (EPOLLOUT) is armed only while unsent bytes are
+ *    pending, and re-disarmed on drain;
+ *  - backpressure: when a connection's pending replies exceed the
+ *    high-water mark, the loop stops parsing (and stops reading —
+ *    EPOLLIN is disarmed) until the peer drains below the low-water
+ *    mark, so a slow reader bounds its own memory, not the server's.
  *
- * Handler contract (same for both): called with one request line
- * (without the newline); the handler appends the complete framed reply
- * — including the trailing '\n' — to @p out, or appends nothing for
- * protocol no-ops.  Setting @p close_conn winds the connection down
- * after the pending replies are written.  Handlers are called
- * concurrently from transport threads and must be thread-safe.
+ * Handler contract: called with one request line (without the
+ * newline); the handler appends the complete framed reply — including
+ * the trailing '\n' — to @p out, or appends nothing for protocol
+ * no-ops.  Setting @p close_conn winds the connection down after the
+ * pending replies are written.  Handlers are called concurrently from
+ * the event-loop threads and must be thread-safe.
  *
- * Asynchronous replies: the handler's fourth argument is the
- * connection's AsyncReplySink, or null when the transport cannot
- * complete replies out-of-band ("threads", where blocking the handler
- * stalls only its own connection and is therefore acceptable).  A
- * handler that wants to defer a reply (a cold compile dispatched to a
- * worker pool) calls expectReply() before returning — synchronously,
- * on the transport thread — and later, from any thread, post()s the
- * framed reply bytes.  The transport routes the bytes back to the
- * owning event loop (completion queue + eventfd wake), so a slow
- * compile no longer stalls the loop's other connections.  post() is
- * safe after the connection dies: the bytes are dropped, never
- * written to a closed or reused fd.  Replies on one connection may
- * interleave out of request order once a request goes asynchronous;
- * clients match replies by id.
+ * Framing at teardown: EOF with a truncated trailing line still
+ * delivers the tail to the handler and writes the reply; line-cap
+ * overflow answers a short prefix and disconnects.  A connection being
+ * closed by the server first gets a FIN (shutdown(SHUT_WR)) and has
+ * its remaining inbound bytes drained, so the peer's kernel never RSTs
+ * away a reply it hasn't read yet.
+ *
+ * Asynchronous replies: handlers run on the event loop, so a
+ * *blocking* handler would stall every connection mapped to that loop
+ * — which is why the server's cold path doesn't block.  The handler's
+ * fourth argument is the connection's AsyncReplySink.  A handler that
+ * wants to defer a reply (a cold compile dispatched to a worker pool)
+ * calls expectReply() before returning — synchronously, on the loop
+ * thread — and later, from any thread, post()s the framed reply bytes.
+ * Each loop owns a completion queue: post() enqueues under the queue's
+ * mutex and wakes the owning loop through its existing eventfd (the
+ * same wake the acceptor's inbox uses).  The loop drains completions
+ * on its own thread: it routes each by connection id (a dead
+ * connection drops its bytes — nothing ever writes to a closed or
+ * reused fd), appends to the write buffer, and flushes.  A connection
+ * with outstanding async replies is kept alive through EOF/close until
+ * the last one lands (or the peer vanishes).  Replies on one
+ * connection may interleave out of request order once a request goes
+ * asynchronous; clients match replies by id.
  */
 
 #ifndef SQUARE_SERVER_TRANSPORT_H
 #define SQUARE_SERVER_TRANSPORT_H
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
+#include <thread>
+#include <unordered_map>
+#include <vector>
+
+#include "obs/metrics.h"
+#include "server/conn_buffer.h"
 
 namespace square {
-
-namespace obs {
-class Registry;
-} // namespace obs
 
 /** Monotonic transport counters (syscall and batch accounting). */
 struct TransportStats
@@ -71,7 +95,7 @@ struct TransportStats
  * Per-connection sink for asynchronously completed replies.  Handed to
  * the LineHandler; see the handler contract in the file comment.
  *
- * Threading: expectReply() may only be called on the transport thread,
+ * Threading: expectReply() may only be called on the loop thread,
  * inside the handler invocation it was handed to (it marks the
  * connection as owing one more reply).  post() may be called from any
  * thread, any time — including after the connection is gone, in which
@@ -83,7 +107,7 @@ class AsyncReplySink
   public:
     virtual ~AsyncReplySink() = default;
 
-    /** Declare one pending async reply (transport thread only). */
+    /** Declare one pending async reply (loop thread only). */
     virtual void expectReply() = 0;
 
     /** Deliver one framed reply line, trailing '\n' included. */
@@ -97,66 +121,146 @@ class Transport
      * Handler for one request line: append the framed reply (with the
      * trailing newline) to @p out, or nothing for a no-op line.  Set
      * @p close_conn to drop the connection once replies are written.
-     * @p async is the connection's completion sink, or null when the
-     * transport only supports synchronous replies.
+     * @p async is the connection's completion sink.
      */
     using LineHandler = std::function<void(
         std::string_view line, std::string &out, bool &close_conn,
         const std::shared_ptr<AsyncReplySink> &async)>;
 
-    virtual ~Transport() = default;
+    /** Multiplexed connections are cheap; the cap is an fd budget. */
+    static constexpr size_t kMaxConnections = 4096;
+    /** Pending-reply bytes above which a connection stops reading. */
+    static constexpr size_t kWriteHighWater = 1u << 20;
+    /** Pending-reply bytes below which reading resumes. */
+    static constexpr size_t kWriteLowWater = 64u << 10;
+    /** recv() chunk size, and the per-wakeup read budget multiplier. */
+    static constexpr size_t kReadChunk = 16u << 10;
+
+    /** @p event_threads event loops (values below 1 mean 1). */
+    explicit Transport(int event_threads);
+    ~Transport();
+
+    Transport(const Transport &) = delete;
+    Transport &operator=(const Transport &) = delete;
 
     /**
      * Bind @p host:@p port (port 0 picks an ephemeral port) and start
      * serving.  Returns false with a message on failure.
      */
-    virtual bool start(const std::string &host, uint16_t port,
-                       LineHandler handler, std::string &error) = 0;
+    bool start(const std::string &host, uint16_t port,
+               LineHandler handler, std::string &error);
 
     /** The actual bound port (after start()). */
-    virtual uint16_t port() const = 0;
-
-    /** True between a successful start() and stop(). */
-    virtual bool running() const = 0;
+    uint16_t port() const { return port_; }
 
     /**
      * Shut down: close the listener and every live connection, join
-     * all transport threads.  Idempotent; must not be called from a
-     * transport thread.
+     * all loop threads.  Idempotent; must not be called from a loop
+     * thread.
      */
-    virtual void stop() = 0;
+    void stop();
 
-    virtual TransportStats stats() const = 0;
+    TransportStats stats() const;
 
     /**
      * The transport's metrics registry (obs/metrics.h), for the
-     * {"cmd": "metrics"} Prometheus exposition; null when the
-     * implementation predates the registry.  stats() stays the
+     * {"cmd": "metrics"} Prometheus exposition.  stats() stays the
      * structured view of the same counters.
      */
-    virtual const obs::Registry *metricsRegistry() const
+    const obs::Registry &metricsRegistry() const { return metrics_; }
+
+  private:
+    struct Conn
     {
-        return nullptr;
-    }
-};
+        int fd = -1;
+        uint64_t id = 0;      ///< routing key for async completions
+        net::ReadBuffer rbuf;
+        net::WriteBuffer wbuf;
+        uint32_t armed = 0;   ///< epoll interest currently registered
+        int batch = 0;        ///< replies corked since the last flush
+        int pendingAsync = 0; ///< replies owed by worker threads
+        bool paused = false;  ///< EPOLLIN off (write backpressure)
+        bool sawEof = false;  ///< peer's write half closed
+        bool closing = false; ///< no more requests; close after drain
+        bool draining = false;///< FIN sent; discarding reads until EOF
+        /** This connection's async completion sink (see Sink, .cc). */
+        std::shared_ptr<AsyncReplySink> sink;
+    };
 
-/** Construction knobs shared by the transport implementations. */
-struct TransportOptions
-{
-    /** Event-loop threads ("epoll" only; >= 1). */
-    int eventThreads = 1;
-    /** Concurrent-connection cap; 0 = the implementation's default. */
-    size_t maxConnections = 0;
-};
+    /**
+     * The cross-thread half of one loop: worker threads push framed
+     * reply bytes here (keyed by connection id) and kick the loop's
+     * eventfd.  `open` flips false under `mu` during stop(), BEFORE
+     * the eventfd closes — so no post() can ever write to a closed
+     * (possibly reused) descriptor.
+     */
+    struct CompletionQueue
+    {
+        std::mutex mu;
+        bool open = true;
+        int wakeFd = -1;
+        std::vector<std::pair<uint64_t, std::string>> items;
+    };
 
-/**
- * Build a transport by kind: "threads" (thread-per-connection) or
- * "epoll" (event-loop multiplexing).  Returns null with a message for
- * an unknown kind.
- */
-std::unique_ptr<Transport> makeTransport(const std::string &kind,
-                                         const TransportOptions &opts,
-                                         std::string &error);
+    /** One event loop: epoll set + wake eventfd + owned connections. */
+    struct Loop
+    {
+        int epfd = -1;
+        int wakeFd = -1;
+        std::thread th;
+        std::mutex inboxMu;
+        std::vector<int> inbox; ///< fds handed off by the acceptor
+        std::unordered_map<int, std::unique_ptr<Conn>> conns;
+        /** Loop-thread-only index: connection id -> live Conn. */
+        std::unordered_map<uint64_t, Conn *> byId;
+        std::shared_ptr<CompletionQueue> cq;
+    };
+
+    class Sink;
+
+    void runLoop(Loop &loop);
+    void acceptReady(Loop &loop);
+    void adoptConn(Loop &loop, int fd);
+    void drainInbox(Loop &loop);
+    void drainCompletions(Loop &loop);
+    /** All return false when the connection was destroyed. */
+    bool onReadable(Loop &loop, Conn &conn);
+    bool serviceConn(Loop &loop, Conn &conn);
+    bool flushConn(Loop &loop, Conn &conn);
+    void processLines(Conn &conn);
+    void updateInterest(Loop &loop, Conn &conn);
+    void destroyConn(Loop &loop, Conn &conn);
+    void noteFlushBatch(int batch);
+
+    LineHandler handler_;
+    uint16_t port_ = 0;
+    int listenFd_ = -1;
+    std::atomic<bool> running_{false};
+    std::vector<std::unique_ptr<Loop>> loops_;
+    int eventThreads_;
+    size_t nextLoop_ = 0; ///< acceptor-thread only (round-robin)
+    std::atomic<uint64_t> nextConnId_{1};
+
+    /**
+     * Telemetry (obs/metrics.h): the registry owns every transport
+     * counter — stats() is a view over it — plus the flush-batch
+     * distribution, which TransportStats summarizes as a max.
+     * References resolved once at construction; the per-line cost is
+     * one relaxed fetch_add, same as the raw atomics it replaced.
+     */
+    obs::Registry metrics_;
+    obs::Counter &acceptedC_;
+    obs::Counter &rejectedC_;
+    obs::Counter &linesC_;
+    obs::Gauge &activeG_;
+    obs::Counter &readCallsC_;
+    obs::Counter &writeCallsC_;
+    obs::Counter &flushesC_;
+    obs::Counter &batchedRepliesC_;
+    obs::Gauge &maxFlushBatchG_;
+    obs::Counter &backpressuredC_;
+    obs::Histogram &flushBatchH_;
+};
 
 } // namespace square
 

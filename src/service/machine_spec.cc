@@ -1,7 +1,9 @@
 #include "service/machine_spec.h"
 
 #include <cctype>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 
 #include "common/hash.h"
 
@@ -27,26 +29,35 @@ parsePositive(const std::string &s, size_t &pos, int &out)
     return true;
 }
 
-/** Parse "WxH" or "WxH@T" after the colon. */
+/**
+ * Parse "WxH" or "WxH@T" after the colon.  @p what names the family
+ * in the error message.
+ */
 bool
-parseDims(const std::string &dims, bool allow_latency, MachineSpec &out)
+parseDims(const std::string &dims, bool allow_latency, const char *what,
+          MachineSpec &out, std::string &error)
 {
     size_t pos = 0;
-    if (!parsePositive(dims, pos, out.width))
+    bool ok = parsePositive(dims, pos, out.width) && pos < dims.size() &&
+              dims[pos++] == 'x' && parsePositive(dims, pos, out.height);
+    if (ok && pos != dims.size()) {
+        ok = allow_latency && dims[pos++] == '@' &&
+             parsePositive(dims, pos, out.tLatency) && pos == dims.size();
+    }
+    if (!ok) {
+        error = std::string("bad ") + what + " dims '" + dims +
+                (allow_latency ? "' (want WxH or WxH@T)" : "' (want WxH)");
         return false;
-    if (pos >= dims.size() || dims[pos] != 'x')
+    }
+    // Site ids are int: W x H must fit, or numSites() overflows.
+    const int64_t sites = static_cast<int64_t>(out.width) * out.height;
+    if (sites > std::numeric_limits<int>::max()) {
+        error = std::string(what) + " dims '" + dims + "' give " +
+                std::to_string(sites) + " sites, more than " +
+                std::to_string(std::numeric_limits<int>::max());
         return false;
-    ++pos;
-    if (!parsePositive(dims, pos, out.height))
-        return false;
-    if (pos == dims.size())
-        return true;
-    if (!allow_latency || dims[pos] != '@')
-        return false;
-    ++pos;
-    if (!parsePositive(dims, pos, out.tLatency))
-        return false;
-    return pos == dims.size();
+    }
+    return true;
 }
 
 } // namespace
@@ -119,10 +130,8 @@ MachineSpec::parse(const std::string &text, MachineSpec &out,
     if (family == "nisq" || family == "nisq-macro") {
         spec.kind = family == "nisq" ? Kind::NisqLattice
                                      : Kind::NisqLatticeMacro;
-        if (!parseDims(dims, false, spec)) {
-            error = "bad lattice dims '" + dims + "' (want WxH)";
+        if (!parseDims(dims, false, "lattice", spec, error))
             return false;
-        }
     } else if (family == "full") {
         spec.kind = Kind::FullyConnected;
         size_t pos = 0;
@@ -133,10 +142,8 @@ MachineSpec::parse(const std::string &text, MachineSpec &out,
         spec.height = 1;
     } else if (family == "ft" || family == "ft-macro") {
         spec.kind = family == "ft" ? Kind::FtBraid : Kind::FtBraidMacro;
-        if (!parseDims(dims, true, spec)) {
-            error = "bad FT dims '" + dims + "' (want WxH or WxH@T)";
+        if (!parseDims(dims, true, "FT", spec, error))
             return false;
-        }
     } else {
         error = "unknown machine family '" + family +
                 "' (nisq|nisq-macro|full|ft|ft-macro)";

@@ -1,14 +1,13 @@
 /**
  * @file
- * Server-tier correctness, parameterized over both transports: the
- * thread-per-connection TcpTransport and the epoll event-loop
- * transport must frame the NDJSON protocol identically (truncated
- * trailing lines, line-cap overflow, fragmented and pipelined input,
- * write backpressure) and shut down cleanly; the shard router must be
+ * Server-tier correctness: the event-loop transport, with one loop and
+ * with two, must frame the NDJSON protocol (truncated trailing lines,
+ * line-cap overflow, fragmented and pipelined input, write
+ * backpressure) and shut down cleanly; the shard router must be
  * key-affine (a given program x machine x config always lands on the
  * same shard) with per-shard stats that sum exactly to the global
  * view.  This binary runs under the CI ThreadSanitizer job — the
- * epoll transport's one-loop-owns-a-connection invariant is enforced
+ * transport's one-loop-owns-a-connection invariant is enforced
  * there.
  */
 
@@ -56,43 +55,17 @@ namedRequest(const std::string &workload, const SquareConfig &cfg)
 }
 
 // -------------------------------------------------------------------
-// Transport framing and shutdown (both kinds, via the interface)
+// Transport framing and shutdown (one and two event loops)
 // -------------------------------------------------------------------
 
-struct TransportCase
-{
-    const char *kind;
-    int eventThreads;
-};
-
-std::string
-transportCaseName(const ::testing::TestParamInfo<TransportCase> &info)
-{
-    std::string name = info.param.kind;
-    if (info.param.eventThreads > 1)
-        name += "_" + std::to_string(info.param.eventThreads) + "loops";
-    return name;
-}
-
-class TransportSuite : public ::testing::TestWithParam<TransportCase>
+/** Parameter: the transport's event-loop count. */
+class TransportSuite : public ::testing::TestWithParam<int>
 {
   protected:
     std::unique_ptr<Transport>
     make()
     {
-        TransportOptions opts;
-        opts.eventThreads = GetParam().eventThreads;
-        std::string error;
-        std::unique_ptr<Transport> t =
-            makeTransport(GetParam().kind, opts, error);
-        EXPECT_NE(t, nullptr) << error;
-        return t;
-    }
-
-    bool
-    isEpoll() const
-    {
-        return std::string_view(GetParam().kind) == "epoll";
+        return std::make_unique<Transport>(GetParam());
     }
 };
 
@@ -216,7 +189,7 @@ TEST_P(TransportSuite, PipelinedBatchIsAnsweredInOrder)
 {
     // Many requests in ONE write: every complete line must be parsed
     // and answered, in order, on the same connection — the syscall-
-    // amortizing traffic shape the epoll transport batches.
+    // amortizing traffic shape the transport batches.
     std::unique_ptr<Transport> transport = make();
     std::string error;
     ASSERT_TRUE(
@@ -305,7 +278,7 @@ TEST_P(TransportSuite, SlowReaderBackpressureDeliversEverything)
 {
     // 64 pipelined requests x 64 KiB replies = 4 MiB owed to a client
     // that is not reading.  The transport must bound its own buffering
-    // (the epoll transport pauses reads past the high-water mark) and
+    // (the loop pauses reads past the high-water mark) and
     // still deliver every reply, intact and in order, once the client
     // drains.
     std::unique_ptr<Transport> transport = make();
@@ -341,11 +314,9 @@ TEST_P(TransportSuite, SlowReaderBackpressureDeliversEverything)
         EXPECT_EQ(reply.substr(0, prefix.size()), prefix);
         EXPECT_EQ(reply.size(), prefix.size() + payload.size());
     }
-    if (isEpoll()) {
-        // 4 MiB owed >> 1 MiB high-water mark: the loop must have
-        // paused reading at least once.
-        EXPECT_GT(transport->stats().backpressured, 0);
-    }
+    // 4 MiB owed >> 1 MiB high-water mark: the loop must have paused
+    // reading at least once.
+    EXPECT_GT(transport->stats().backpressured, 0);
     transport->stop();
 }
 
@@ -376,11 +347,10 @@ TEST_P(TransportSuite, SyscallAndBatchStatsAreCounted)
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Transports, TransportSuite,
-    ::testing::Values(TransportCase{"threads", 1},
-                      TransportCase{"epoll", 1},
-                      TransportCase{"epoll", 2}),
-    transportCaseName);
+    EventLoops, TransportSuite, ::testing::Values(1, 2),
+    [](const ::testing::TestParamInfo<int> &info) {
+        return std::to_string(info.param) + "loops";
+    });
 
 // -------------------------------------------------------------------
 // ShardRouter key affinity and stats
@@ -503,24 +473,12 @@ TEST(ShardRouter, ConcurrentDuplicatesAcrossConnectionsCompileOnce)
 }
 
 // -------------------------------------------------------------------
-// CompileServer: the protocol over real sockets (both transports)
+// CompileServer: the protocol over real sockets
 // -------------------------------------------------------------------
 
-class ServerSuite : public ::testing::TestWithParam<const char *>
+TEST(ServerSuite, DuplicateRequestIsAHitOverTcp)
 {
-  protected:
-    ServerConfig
-    config()
-    {
-        ServerConfig cfg;
-        cfg.transport = GetParam();
-        return cfg;
-    }
-};
-
-TEST_P(ServerSuite, DuplicateRequestIsAHitOverTcp)
-{
-    ServerConfig cfg = config();
+    ServerConfig cfg;
     cfg.shards = 2;
     CompileServer server(cfg);
     std::string error;
@@ -556,12 +514,12 @@ TEST_P(ServerSuite, DuplicateRequestIsAHitOverTcp)
     server.stop();
 }
 
-TEST_P(ServerSuite, PipelinedWarmRequestsShareOneWriteBatch)
+TEST(ServerSuite, PipelinedWarmRequestsShareOneWriteBatch)
 {
     // The full wire-speed path: pipelined duplicate requests on one
     // connection; every reply after the first is a preserialized
     // cache hit, answered in order.
-    CompileServer server(config());
+    CompileServer server(ServerConfig{});
     std::string error;
     ASSERT_TRUE(server.start(error)) << error;
 
@@ -587,9 +545,9 @@ TEST_P(ServerSuite, PipelinedWarmRequestsShareOneWriteBatch)
     server.stop();
 }
 
-TEST_P(ServerSuite, MalformedInputIsAStructuredReplyNotAClosedConnection)
+TEST(ServerSuite, MalformedInputIsAStructuredReplyNotAClosedConnection)
 {
-    CompileServer server(config());
+    CompileServer server(ServerConfig{});
     std::string error;
     ASSERT_TRUE(server.start(error)) << error;
 
@@ -619,9 +577,9 @@ TEST_P(ServerSuite, MalformedInputIsAStructuredReplyNotAClosedConnection)
     server.stop();
 }
 
-TEST_P(ServerSuite, TruncatedNdjsonLineGetsAStructuredError)
+TEST(ServerSuite, TruncatedNdjsonLineGetsAStructuredError)
 {
-    CompileServer server(config());
+    CompileServer server(ServerConfig{});
     std::string error;
     ASSERT_TRUE(server.start(error)) << error;
 
@@ -645,13 +603,13 @@ TEST_P(ServerSuite, TruncatedNdjsonLineGetsAStructuredError)
     server.stop();
 }
 
-TEST_P(ServerSuite, CachedResponsesAreBitIdenticalAcrossConnections)
+TEST(ServerSuite, CachedResponsesAreBitIdenticalAcrossConnections)
 {
     // The network path must not perturb results: the same request over
     // two different connections (miss, then cross-connection hit)
     // renders byte-identical metric payloads — on the hit, those
     // bytes come from the preserialized reply cache.
-    ServerConfig cfg = config();
+    ServerConfig cfg;
     cfg.shards = 2;
     CompileServer server(cfg);
     std::string error;
@@ -687,24 +645,42 @@ TEST_P(ServerSuite, CachedResponsesAreBitIdenticalAcrossConnections)
     server.stop();
 }
 
-INSTANTIATE_TEST_SUITE_P(Transports, ServerSuite,
-                         ::testing::Values("threads", "epoll"),
-                         [](const ::testing::TestParamInfo<const char *>
-                                &info) {
-                             return std::string(info.param);
-                         });
-
 TEST(Server, HandleLineDispatchWithoutSockets)
 {
-    CompileServer server(ServerConfig{});
+    // An unstarted one-shard server: square_serve's stdin dispatcher.
+    ServerConfig cfg;
+    cfg.shards = 1;
+    cfg.workersPerShard = 1;
+    CompileServer server(cfg);
     bool close_conn = false;
 
     // Blank lines and comments are protocol no-ops.
     EXPECT_EQ(server.handleLine("", close_conn), "");
     EXPECT_EQ(server.handleLine("   # comment", close_conn), "");
 
-    std::string reply =
-        server.handleLine(R"({"cmd":"nope"})", close_conn);
+    // The square_serve smoke script: the repeated request is a hit,
+    // and the counters see exactly two compiles.
+    std::string reply = server.handleLine(
+        R"({"id":1,"workload":"ADDER4","policy":"square"})", close_conn);
+    EXPECT_NE(reply.find("\"cache\": \"miss\""), std::string::npos)
+        << reply;
+    reply = server.handleLine(
+        R"({"id":2,"workload":"ADDER4","policy":"eager"})", close_conn);
+    EXPECT_NE(reply.find("\"cache\": \"miss\""), std::string::npos)
+        << reply;
+    reply = server.handleLine(
+        R"({"id":3,"workload":"ADDER4","policy":"square"})", close_conn);
+    EXPECT_NE(reply.find("\"id\": 3, \"ok\": true"), std::string::npos)
+        << reply;
+    EXPECT_NE(reply.find("\"cache\": \"hit\""), std::string::npos)
+        << reply;
+    reply = server.handleLine(R"({"cmd":"stats"})", close_conn);
+    EXPECT_NE(reply.find("\"hits\": 1, \"misses\": 2, \"compiles\": 2"),
+              std::string::npos)
+        << reply;
+    EXPECT_FALSE(close_conn);
+
+    reply = server.handleLine(R"({"cmd":"nope"})", close_conn);
     EXPECT_NE(reply.find("unknown cmd"), std::string::npos);
     EXPECT_FALSE(close_conn);
 
@@ -715,7 +691,7 @@ TEST(Server, HandleLineDispatchWithoutSockets)
 }
 
 // -------------------------------------------------------------------
-// Overload safety and fault recovery (the async cold path on epoll)
+// Overload safety and fault recovery (the async cold path)
 // -------------------------------------------------------------------
 
 /** A gate the tests use to hold compiles inside the compile hook. */
@@ -753,12 +729,11 @@ struct CompileGate
     }
 };
 
-/** One-event-loop epoll server: the config every overload test uses. */
+/** One-event-loop server: the config every overload test uses. */
 ServerConfig
 overloadConfig()
 {
     ServerConfig cfg;
-    cfg.transport = "epoll";
     cfg.eventThreads = 1;
     cfg.shards = 1;
     cfg.workersPerShard = 1;

@@ -691,6 +691,8 @@ TEST(MachineSpec, MalformedSpecsRejectWithMessages)
         "nisq:5x",   "nisq:x5",   "nisq:5x5x5", "nisq:5x5@10",
         "ft:16x16@", "ft:16x16@0", "ft:16x@8",  "ft:@",
         "full:",     "full:0",    "full:2x2",   "nisq-macro:7",
+        // W x H past INT_MAX sites (numSites() is an int).
+        "nisq:100000x100000", "ft:65536x65536@1",
     };
     for (const char *text : bad) {
         SCOPED_TRACE(std::string("spec '") + text + "'");

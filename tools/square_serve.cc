@@ -4,9 +4,11 @@
  *
  * Reads one newline-delimited JSON request per line (see
  * src/service/protocol.h for the request/reply grammar), serves each
- * through a process-lifetime CompileService — so repeated requests hit
- * the content-addressed result cache — and writes one JSON reply line
- * per request.  Scriptable with no network dependency:
+ * through a process-lifetime, one-shard CompileServer that is never
+ * started — the server's own dispatcher (src/server/server.h) without
+ * sockets, so repeated requests hit the content-addressed result cache
+ * — and writes one JSON reply line per request.  Scriptable with no
+ * network dependency:
  *
  *   printf '%s\n' \
  *     '{"id":1,"workload":"ADDER4","policy":"square"}' \
@@ -14,100 +16,69 @@
  *     '{"id":3,"workload":"ADDER4","policy":"square"}' \
  *     '{"cmd":"stats"}' | square_serve
  *
+ * Every compile runs on the calling thread.  {"cmd":"shutdown"} is
+ * acknowledged and stops the read loop, like end of input.
+ *
  * Flags:
- *   --workers=N   fleet workers for batch dispatch (default: cores)
- *   --quiet       suppress the startup banner on stderr
+ *   --quiet       suppress the startup banner and summary on stderr
  */
 
 #include <cstdio>
 #include <cstring>
 #include <iostream>
 #include <string>
-#include <thread>
 
-#include "service/protocol.h"
-#include "service/service.h"
+#include "server/server.h"
 
 using namespace square;
 
 int
 main(int argc, char **argv)
 {
-    int workers =
-        static_cast<int>(std::thread::hardware_concurrency());
-    if (workers < 1)
-        workers = 1;
     bool quiet = false;
     for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--workers=", 10) == 0) {
-            workers = std::atoi(argv[i] + 10);
-            if (workers < 1) {
-                std::fprintf(stderr, "bad --workers value\n");
-                return 1;
-            }
-        } else if (std::strcmp(argv[i], "--quiet") == 0) {
+        if (std::strcmp(argv[i], "--quiet") == 0) {
             quiet = true;
         } else {
-            std::fprintf(stderr,
-                         "usage: square_serve [--workers=N] [--quiet]\n");
+            std::fprintf(stderr, "usage: square_serve [--quiet]\n");
             return 1;
         }
     }
 
-    CompileService service(workers);
+    ServerConfig cfg;
+    cfg.shards = 1;
+    cfg.workersPerShard = 1;
+    CompileServer server(cfg);
     if (!quiet) {
         std::fprintf(stderr,
-                     "square_serve: %d workers; one JSON request per "
-                     "line on stdin ({\"cmd\":\"stats\"} for counters)\n",
-                     workers);
+                     "square_serve: one JSON request per line on stdin "
+                     "({\"cmd\":\"stats\"} for counters)\n");
     }
 
-    std::string line;
-    while (std::getline(std::cin, line)) {
-        if (isProtocolNoOp(line))
-            continue;
-
-        JsonRequest json;
-        std::string error;
-        if (!parseJsonLine(line, json, error)) {
-            std::puts(formatError(json, error).c_str());
-            std::fflush(stdout);
-            continue;
-        }
-        if (json.has("cmd")) {
-            const std::string cmd = json.get("cmd");
-            if (cmd == "stats") {
-                std::puts(formatStats(service.stats()).c_str());
-            } else {
-                std::puts(formatError(
-                              json, "unknown cmd \"" + cmd + "\"")
-                              .c_str());
-            }
-            std::fflush(stdout);
-            continue;
-        }
-
-        CompileRequest req;
-        if (!buildRequest(json, req, error)) {
-            std::puts(formatError(json, error).c_str());
-            std::fflush(stdout);
-            continue;
-        }
-        ServiceReply reply = service.submit(req);
-        std::puts(formatReply(json, reply).c_str());
+    std::string line, out;
+    bool close_conn = false;
+    while (!close_conn && std::getline(std::cin, line)) {
+        out.clear();
+        server.handleLineTo(line, out, close_conn);
+        std::fwrite(out.data(), 1, out.size(), stdout);
         std::fflush(stdout);
     }
 
     // Final counters to stderr so piped stdout stays machine-parsable.
     if (!quiet) {
-        ServiceStats s = service.stats();
+        // Requests that failed to resolve (unknown workload, bad
+        // program) never reach the shard; count them as served
+        // failures.
+        RouterStats s = server.router().stats();
         std::fprintf(stderr,
                      "square_serve: served %lld requests (%lld hits, "
                      "%lld compiles, %lld failures)\n",
-                     static_cast<long long>(s.requests),
-                     static_cast<long long>(s.hits),
-                     static_cast<long long>(s.compiles),
-                     static_cast<long long>(s.failures));
+                     static_cast<long long>(s.global.requests +
+                                            s.resolveFailures),
+                     static_cast<long long>(s.global.hits),
+                     static_cast<long long>(s.global.compiles),
+                     static_cast<long long>(s.global.failures +
+                                            s.resolveFailures));
     }
     return 0;
 }

@@ -21,9 +21,7 @@
  *   --host=A           IPv4 bind address (default 127.0.0.1)
  *   --shards=N         CompileService shards (default 2)
  *   --workers=N        fleet workers per shard (default 1)
- *   --transport=K      "epoll" (event-loop multiplexing, default) or
- *                      "threads" (thread-per-connection)
- *   --event-threads=N  epoll event-loop threads (default 1)
+ *   --event-threads=N  transport event-loop threads (default 1)
  *   --cache-entries=N  per-shard LRU bound, results (default unbounded)
  *   --cache-bytes=N    per-shard LRU bound, bytes (default unbounded)
  *   --max-pending=N    per-shard compile-queue bound; misses beyond it
@@ -31,8 +29,6 @@
  *                      "retry_after_ms":...} (default 0 = admit all)
  *   --batch-fraction=F fraction of --max-pending admitted to
  *                      priority=batch requests (default 0.5)
- *   --no-async-cold    compile misses on the transport thread (the
- *                      PR-5 behaviour) instead of the shard's pool
  *   --no-metrics       disable latency-histogram recording (counters
  *                      always run); the throughput bench's
  *                      metrics-off row uses it
@@ -169,8 +165,6 @@ main(int argc, char **argv)
                 return 1;
             }
             cfg.workersPerShard = int_value;
-        } else if (std::strncmp(arg, "--transport=", 12) == 0) {
-            cfg.transport = arg + 12; // validated by makeTransport
         } else if (std::strncmp(arg, "--event-threads=", 16) == 0) {
             if (!parseInt(arg + 16, 1, 256, int_value)) {
                 std::fprintf(stderr, "bad --event-threads value\n");
@@ -191,8 +185,6 @@ main(int argc, char **argv)
                 std::fprintf(stderr, "bad --batch-fraction value\n");
                 return 1;
             }
-        } else if (std::strcmp(arg, "--no-async-cold") == 0) {
-            cfg.asyncColdPath = false;
         } else if (std::strcmp(arg, "--no-metrics") == 0) {
             cfg.metrics = false;
         } else if (std::strncmp(arg, "--trace-sample=", 15) == 0) {
@@ -246,10 +238,9 @@ main(int argc, char **argv)
             std::fprintf(
                 stderr,
                 "usage: square_served [--port=N] [--host=A] "
-                "[--shards=N] [--workers=N] [--transport=epoll|threads] "
-                "[--event-threads=N] [--cache-entries=N] "
-                "[--cache-bytes=N] [--max-pending=N] "
-                "[--batch-fraction=F] [--no-async-cold] "
+                "[--shards=N] [--workers=N] [--event-threads=N] "
+                "[--cache-entries=N] [--cache-bytes=N] "
+                "[--max-pending=N] [--batch-fraction=F] "
                 "[--no-metrics] [--trace-sample=N] "
                 "[--trace-slow-ms=T] [--trace-log=PATH] "
                 "[--faults=SPEC] [--postmortem=PATH] "
@@ -313,11 +304,10 @@ main(int argc, char **argv)
     }
     if (!quiet) {
         std::fprintf(stderr,
-                     "square_served: listening on %s:%u (%s transport, "
-                     "%d shards x %d workers; cache bound: %zu entries, "
-                     "%zu bytes; 0 = unbounded)\n",
-                     cfg.host.c_str(), server.port(),
-                     cfg.transport.c_str(), cfg.shards,
+                     "square_served: listening on %s:%u (%d shards x %d "
+                     "workers; cache bound: %zu entries, %zu bytes; "
+                     "0 = unbounded)\n",
+                     cfg.host.c_str(), server.port(), cfg.shards,
                      cfg.workersPerShard, cfg.limits.maxEntries,
                      cfg.limits.maxBytes);
         if (server.store() != nullptr) {
