@@ -6,18 +6,14 @@
 
 namespace square {
 
-bool
-BraidRouter::CellOccupancy::busy(int64_t t, int dur, int64_t &release) const
+void
+BraidRouter::CellOccupancy::busyUntil(int64_t t, int dur,
+                                      int64_t &release) const
 {
-    bool blocked = false;
-    for (int i = 0; i < count; ++i) {
-        const Interval &iv = slots[i];
-        if (iv.start < t + dur && t < iv.end) {
-            blocked = true;
-            release = std::max(release, iv.end);
-        }
+    for (int i = 0; i < kCapacity; ++i) {
+        if (starts[i] < t + dur && t < ends[i])
+            release = std::max(release, ends[i]);
     }
-    return blocked;
 }
 
 BraidRouter::BraidRouter(const LatticeTopology &topo)
@@ -25,6 +21,7 @@ BraidRouter::BraidRouter(const LatticeTopology &topo)
       cells_w_(2 * topo.width() + 1),
       cells_h_(2 * topo.height() + 1),
       cells_(static_cast<size_t>(cells_w_) * cells_h_),
+      max_end_(cells_.size(), 0),
       bfs_mark_(cells_.size(), 0),
       bfs_parent_(cells_.size(), -1)
 {
@@ -88,15 +85,21 @@ BraidRouter::directPathInto(PhysQubit a, PhysQubit b, bool horizontal_first,
 }
 
 bool
-BraidRouter::pathFree(const std::vector<int> &path, int64_t t, int dur,
-                      int64_t &release) const
+BraidRouter::pathFree(const std::vector<int> &path, int64_t t, int dur) const
 {
-    bool blocked = false;
     for (int id : path) {
-        if (cells_[static_cast<size_t>(id)].busy(t, dur, release))
-            blocked = true;
+        if (!cellFree(id, t, dur))
+            return false;
     }
-    return !blocked;
+    return true;
+}
+
+void
+BraidRouter::pathRelease(const std::vector<int> &path, int64_t t, int dur,
+                         int64_t &release) const
+{
+    for (int id : path)
+        cells_[static_cast<size_t>(id)].busyUntil(t, dur, release);
 }
 
 void
@@ -119,53 +122,63 @@ BraidRouter::searchPathInto(PhysQubit a, PhysQubit b, int64_t t, int dur,
     bfs_queue_.clear();
     size_t q_head = 0;
 
+    // Goal: a channel cell bordering the target tile.  The frontier is
+    // FIFO, so the first goal enqueued is the first one a dequeue-time
+    // test would reach; testing at enqueue returns the same path
+    // without expanding the rest of its BFS layer.  Callers pass only
+    // channel cells.
     auto try_visit = [&](int cx, int cy, int parent) -> bool {
         if (cx < x_lo || cx > x_hi || cy < y_lo || cy > y_hi)
-            return false;
-        if (!isChannel(cx, cy))
             return false;
         int id = cellId(cx, cy);
         if (bfs_mark_[static_cast<size_t>(id)] == bfs_stamp_)
             return false;
-        int64_t release = 0;
-        if (cells_[static_cast<size_t>(id)].busy(t, dur, release))
+        if (!cellFree(id, t, dur))
             return false;
         bfs_mark_[static_cast<size_t>(id)] = bfs_stamp_;
         bfs_parent_[static_cast<size_t>(id)] = parent;
         bfs_queue_.push_back(id);
-        return true;
+        return (std::abs(cx - bx) == 1 && cy == by) ||
+               (std::abs(cy - by) == 1 && cx == bx);
+    };
+    auto trace_back = [&](int id) {
+        for (int cur = id; cur != -1;
+             cur = bfs_parent_[static_cast<size_t>(cur)]) {
+            out.push_back(cur);
+        }
+        std::reverse(out.begin(), out.end());
     };
 
     // Seed with the free channel cells bordering the source tile.
     for (auto [dx, dy] : {std::pair{0, -1}, {0, 1}, {-1, 0}, {1, 0}}) {
-        try_visit(ax + dx, ay + dy, -1);
+        if (try_visit(ax + dx, ay + dy, -1))
+            return trace_back(bfs_queue_.back());
     }
 
     while (q_head < bfs_queue_.size()) {
         int id = bfs_queue_[q_head++];
         int cx = id % cells_w_;
         int cy = id / cells_w_;
-        // Goal: a channel cell bordering the target tile.
-        if ((std::abs(cx - bx) == 1 && cy == by) ||
-            (std::abs(cy - by) == 1 && cx == bx)) {
-            for (int cur = id; cur != -1;
-                 cur = bfs_parent_[static_cast<size_t>(cur)]) {
-                out.push_back(cur);
-            }
-            std::reverse(out.begin(), out.end());
-            return;
-        }
-        for (auto [dx, dy] : {std::pair{0, -1}, {0, 1}, {-1, 0}, {1, 0}}) {
-            try_visit(cx + dx, cy + dy, id);
-        }
+        // Same neighbour order as the seeds (north, south, west, east),
+        // skipping the site tiles: a channel cell in an even column has
+        // channels north and south, one in an even row east and west.
+        if (cx % 2 == 0 &&
+            (try_visit(cx, cy - 1, id) || try_visit(cx, cy + 1, id)))
+            return trace_back(bfs_queue_.back());
+        if (cy % 2 == 0 &&
+            (try_visit(cx - 1, cy, id) || try_visit(cx + 1, cy, id)))
+            return trace_back(bfs_queue_.back());
     }
 }
 
 void
 BraidRouter::claim(const std::vector<int> &path, int64_t t, int dur)
 {
-    for (int id : path)
-        cells_[static_cast<size_t>(id)].add({t, t + dur});
+    for (int id : path) {
+        const auto i = static_cast<size_t>(id);
+        cells_[i].add(t, t + dur);
+        max_end_[i] = std::max(max_end_[i], t + dur);
+    }
     total_path_cells_ += static_cast<int64_t>(path.size());
 }
 
@@ -174,16 +187,18 @@ BraidRouter::reserve(PhysQubit a, PhysQubit b, int64_t ready, int dur)
 {
     SQ_ASSERT(a != b, "braid endpoints must differ");
     SQ_ASSERT(dur > 0, "braid duration must be positive");
+    SQ_ASSERT(ready >= 0, "braid ready time must be non-negative");
 
     Reservation res;
     int64_t t = ready;
     constexpr int kMaxStalls = 4096;
 
-    // The two L-shaped candidates depend only on the endpoints; hoist
-    // them out of the stall loop (only their availability changes as t
-    // advances).
+    // The L-shaped candidates depend only on the endpoints; build them
+    // once per reservation (only their availability changes as t
+    // advances).  The vertical-first one is built only when the
+    // horizontal-first one is first blocked.
     directPathInto(a, b, true, path_h_);
-    directPathInto(a, b, false, path_v_);
+    bool have_v = false;
 
     auto grant = [&](const std::vector<int> &path) {
         claim(path, t, dur);
@@ -194,22 +209,28 @@ BraidRouter::reserve(PhysQubit a, PhysQubit b, int64_t ready, int dur)
     };
 
     for (int attempt = 0; attempt < kMaxStalls; ++attempt) {
-        int64_t release = t + 1;
-        if (pathFree(path_h_, t, dur, release))
+        if (pathFree(path_h_, t, dur))
             return grant(path_h_);
         ++res.conflicts;
         ++total_conflicts_;
 
-        if (pathFree(path_v_, t, dur, release))
+        if (!have_v) {
+            directPathInto(a, b, false, path_v_);
+            have_v = true;
+        }
+        if (pathFree(path_v_, t, dur))
             return grant(path_v_);
 
         searchPathInto(a, b, t, dur, path_scratch_);
         if (!path_scratch_.empty())
             return grant(path_scratch_);
 
-        // Everything overlapping is busy: stall until the earliest
-        // blocking braid releases its cells.
-        t = std::max(release, t + 1);
+        // No route at t: stall until the latest end among the braids
+        // that block either L-path at t.
+        int64_t release = t + 1;
+        pathRelease(path_h_, t, dur, release);
+        pathRelease(path_v_, t, dur, release);
+        t = release;
     }
     panic("braid router livelock between sites ", a, " and ", b);
 }

@@ -11,8 +11,11 @@
  *
  *  1. tries the two L-shaped channel paths between the operands;
  *  2. falls back to a BFS through free channel cells;
- *  3. when no route exists, stalls the gate until a blocking braid
- *     releases its cells, counting one conflict per stall.
+ *  3. when no route exists, stalls the gate until the latest-ending
+ *     braid that blocks either L-path releases its cells.
+ *
+ * Each attempt whose horizontal-first L-path is blocked counts one
+ * conflict, whether the vertical L-path, the BFS or a stall follows.
  *
  * The conflicts-per-gate ratio is the S communication factor CER uses
  * on FT machines (Sec. IV-D).
@@ -23,6 +26,12 @@
  *
  * reserve() is on the per-gate hot path; the candidate-path and BFS
  * buffers are reused members so steady-state routing is allocation-free.
+ * Most occupancy checks land on a cell whose every claim has already
+ * ended, so a dense per-cell "latest end" summary answers them without
+ * touching the cell's ring; the ring test itself is a fixed-width OR
+ * with no data-dependent branch.  Work only the stall path needs (the
+ * release time) or that the common case never reaches (the
+ * vertical-first L-path) is deferred until it is needed.
  */
 
 #ifndef SQUARE_ROUTE_BRAID_ROUTER_H
@@ -65,31 +74,42 @@ class BraidRouter
     int64_t totalPathCells() const { return total_path_cells_; }
 
   private:
-    struct Interval
-    {
-        int64_t start = 0;
-        int64_t end = 0; // exclusive
-    };
-
-    /** Fixed-capacity ring of recent reservations per channel cell. */
+    /**
+     * Fixed-capacity ring of recent reservations [start, end) on one
+     * channel cell.  Reservations start at t >= 0 and last dur > 0
+     * cycles, so end == 0 marks a slot never written.
+     */
     struct CellOccupancy
     {
         static constexpr int kCapacity = 8;
-        Interval slots[kCapacity];
-        int count = 0;
+        int64_t starts[kCapacity] = {};
+        int64_t ends[kCapacity] = {}; // exclusive; 0 = empty slot
         int head = 0;
 
         void
-        add(const Interval &iv)
+        add(int64_t start, int64_t end)
         {
-            slots[head] = iv;
+            starts[head] = start;
+            ends[head] = end;
             head = (head + 1) % kCapacity;
-            if (count < kCapacity)
-                ++count;
         }
 
         /** True when [t, t+dur) overlaps a recorded reservation. */
-        bool busy(int64_t t, int dur, int64_t &release) const;
+        bool
+        overlaps(int64_t t, int dur) const
+        {
+            const int64_t end = t + dur;
+            bool hit = false;
+            for (int i = 0; i < kCapacity; ++i)
+                hit |= (starts[i] < end) & (t < ends[i]);
+            return hit;
+        }
+
+        /**
+         * Raise @p release to the end of every recorded reservation
+         * overlapping [t, t+dur).
+         */
+        void busyUntil(int64_t t, int dur, int64_t &release) const;
     };
 
     int cellId(int cx, int cy) const { return cy * cells_w_ + cx; }
@@ -109,9 +129,23 @@ class BraidRouter
     void searchPathInto(PhysQubit a, PhysQubit b, int64_t t, int dur,
                         std::vector<int> &out);
 
+    /** True when cell @p id is free during [t, t+dur). */
+    bool
+    cellFree(int id, int64_t t, int dur) const
+    {
+        const auto i = static_cast<size_t>(id);
+        return t >= max_end_[i] || !cells_[i].overlaps(t, dur);
+    }
+
     /** True when every cell of @p path is free during [t, t+dur). */
-    bool pathFree(const std::vector<int> &path, int64_t t, int dur,
-                  int64_t &release) const;
+    bool pathFree(const std::vector<int> &path, int64_t t, int dur) const;
+
+    /**
+     * Raise @p release to the latest end among the reservations that
+     * block @p path during [t, t+dur).
+     */
+    void pathRelease(const std::vector<int> &path, int64_t t, int dur,
+                     int64_t &release) const;
 
     void claim(const std::vector<int> &path, int64_t t, int dur);
 
@@ -119,6 +153,7 @@ class BraidRouter
     int cells_w_;
     int cells_h_;
     std::vector<CellOccupancy> cells_;
+    std::vector<int64_t> max_end_;  // latest end ever claimed per cell
     std::vector<int64_t> bfs_mark_; // visit stamps for searchPathInto
     std::vector<int> bfs_parent_;
     std::vector<int> bfs_queue_;    // reused BFS frontier storage
