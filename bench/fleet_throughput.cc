@@ -3,11 +3,14 @@
  * Fleet-compilation throughput: the production-scale batch scenario.
  *
  * Compiles a mixed batch (SHA2 + SALSA20 + Belle under the SQUARE
- * policy, each replicated --repeat times) on worker pools of increasing
- * size and reports aggregate gates/s, per-job latency percentiles, and
- * scaling versus one worker.  Compilations are independent and
- * embarrassingly parallel, so on an N-core host the batch should scale
- * close to linearly until workers exceed cores.
+ * policy, each replicated --repeat times) on WorkerPools of increasing
+ * size — the pool the compile service runs every queued miss on — and
+ * reports aggregate gates/s, per-job latency percentiles, and scaling
+ * versus one worker.  Compilations are independent and embarrassingly
+ * parallel, so on an N-core host the batch should scale close to
+ * linearly until workers exceed cores.  Replicas share one immutable
+ * Program, and each pool size shares one AnalysisCache across its
+ * batch, so every unique workload is analyzed once per run.
  *
  * Pass --square_json=PATH to emit a BENCH_fleet_throughput.json row per
  * worker count (plus the host's hardware_concurrency, without which the
@@ -16,47 +19,140 @@
  * batch for CI.
  */
 
+#include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_common.h"
-#include "fleet/fleet.h"
+#include "common/stats.h"
+#include "fleet/worker_pool.h"
+#include "ir/analysis_cache.h"
 
 using namespace square;
 using namespace square::bench;
 
 namespace {
 
-FleetJob
-makeJob(const std::string &workload,
-        std::shared_ptr<const Program> program, const SquareConfig &cfg)
-{
-    // Registry entries have static storage; the builder may hold &info.
-    const BenchmarkInfo &info = findBenchmark(workload);
-    FleetJob job;
-    job.label = workload + "/" + cfg.name;
-    job.program = std::move(program);
-    job.machine = [&info] { return paperNisqMachine(info); };
-    job.cfg = cfg;
-    return job;
-}
+using Clock = std::chrono::steady_clock;
 
-std::vector<FleetJob>
+/** One compilation of the batch: program x paper machine x policy. */
+struct Job
+{
+    std::shared_ptr<const Program> program;
+    uint64_t programFp = 0;
+    const BenchmarkInfo *info = nullptr;
+    SquareConfig cfg;
+};
+
+/** Outcome of one job. */
+struct JobResult
+{
+    bool failed = false;
+    /** Wall time of the compile call (analysis + build + compile). */
+    double millis = 0;
+    /** Issued instructions: gates + swaps. */
+    int64_t issued = 0;
+};
+
+/** Aggregate outcome of one pool size. */
+struct RunResult
+{
+    double wallMillis = 0;
+    double gatesPerSec = 0;
+    double p50Millis = 0;
+    double p99Millis = 0;
+    int failures = 0;
+};
+
+std::vector<Job>
 mixedBatch(int repeat)
 {
     // One immutable Program per unique workload, shared by replicas.
-    std::vector<FleetJob> jobs;
+    std::vector<Job> jobs;
     for (const char *name : {"SHA2", "SALSA20", "Belle"}) {
-        std::shared_ptr<const Program> prog =
-            shareProgram(makeBenchmark(name));
+        auto prog = std::make_shared<const Program>(makeBenchmark(name));
+        const uint64_t fp = prog->fingerprint();
         for (int r = 0; r < repeat; ++r)
-            jobs.push_back(makeJob(name, prog, SquareConfig::square()));
+            jobs.push_back(
+                Job{prog, fp, &findBenchmark(name), SquareConfig::square()});
     }
     return jobs;
+}
+
+JobResult
+runJob(const Job &job, AnalysisCache &analysis)
+{
+    JobResult out;
+    Clock::time_point t0 = Clock::now();
+    try {
+        std::shared_ptr<const ProgramAnalysis> shared =
+            analysis.get(*job.program, job.programFp);
+        Machine machine = paperNisqMachine(*job.info);
+        CompileOptions options;
+        options.analysis = shared.get();
+        CompileResult r = compile(*job.program, machine, job.cfg, options);
+        out.issued = r.gates + r.swaps;
+    } catch (const std::exception &) {
+        out.failed = true;
+    }
+    out.millis = millisSince(t0);
+    return out;
+}
+
+/** Post every job to a fresh @p workers-wide pool; wait for all. */
+RunResult
+runBatch(const std::vector<Job> &jobs, int workers)
+{
+    AnalysisCache analysis;
+    std::vector<JobResult> results(jobs.size());
+    std::mutex m;
+    std::condition_variable cv;
+    size_t outstanding = jobs.size();
+
+    WorkerPool pool(workers);
+    Clock::time_point t0 = Clock::now();
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        pool.post([&, i] {
+            JobResult r = runJob(jobs[i], analysis);
+            std::lock_guard<std::mutex> lock(m);
+            results[i] = r;
+            if (--outstanding == 0)
+                cv.notify_all();
+        });
+    }
+    {
+        std::unique_lock<std::mutex> lock(m);
+        cv.wait(lock, [&outstanding] { return outstanding == 0; });
+    }
+    RunResult run;
+    run.wallMillis = millisSince(t0);
+
+    int64_t issued = 0;
+    std::vector<double> latencies;
+    for (const JobResult &r : results) {
+        if (r.failed) {
+            ++run.failures;
+            continue;
+        }
+        issued += r.issued;
+        latencies.push_back(r.millis);
+    }
+    std::sort(latencies.begin(), latencies.end());
+    run.p50Millis = percentileNearestRank(latencies, 50.0);
+    run.p99Millis = percentileNearestRank(latencies, 99.0);
+    if (run.wallMillis > 0)
+        run.gatesPerSec =
+            static_cast<double>(issued) / (run.wallMillis / 1000.0);
+    return run;
 }
 
 } // namespace
@@ -100,7 +196,7 @@ main(int argc, char **argv)
                 "speedup");
     printRule(76);
 
-    std::vector<FleetJob> jobs = mixedBatch(repeat);
+    std::vector<Job> jobs = mixedBatch(repeat);
     JsonReport report;
     report.benchmark = "fleet_throughput";
     report.unit = "gates_per_second";
@@ -110,29 +206,27 @@ main(int argc, char **argv)
     // Run every pool size first; the speedup baseline is the 1-worker
     // run when present, else the first run (so custom --workers lists
     // still report meaningful scaling).
-    std::vector<FleetResult> results;
+    std::vector<RunResult> results;
     results.reserve(worker_counts.size());
     for (int workers : worker_counts)
-        results.push_back(FleetCompiler(workers).run(jobs));
-    double base_gps =
-        results.empty() ? 0.0 : results.front().fleetGatesPerSec;
+        results.push_back(runBatch(jobs, workers));
+    double base_gps = results.empty() ? 0.0 : results.front().gatesPerSec;
     for (size_t i = 0; i < results.size(); ++i) {
         if (worker_counts[i] == 1) {
-            base_gps = results[i].fleetGatesPerSec;
+            base_gps = results[i].gatesPerSec;
             break;
         }
     }
     for (size_t i = 0; i < results.size(); ++i) {
-        const FleetResult &r = results[i];
+        const RunResult &r = results[i];
         const int workers = worker_counts[i];
-        double speedup =
-            base_gps > 0 ? r.fleetGatesPerSec / base_gps : 0.0;
+        double speedup = base_gps > 0 ? r.gatesPerSec / base_gps : 0.0;
         std::printf("%8d %10.1f %14.0f %10.2f %10.2f %10d %7.2fx\n",
-                    workers, r.wallMillis, r.fleetGatesPerSec,
+                    workers, r.wallMillis, r.gatesPerSec,
                     r.p50Millis, r.p99Millis, r.failures, speedup);
         report.addRow({jsonInt("workers", workers),
                        jsonNum("wall_ms", r.wallMillis, 1),
-                       jsonNum("fleet_gates_per_s", r.fleetGatesPerSec, 0),
+                       jsonNum("fleet_gates_per_s", r.gatesPerSec, 0),
                        jsonNum("p50_ms", r.p50Millis, 2),
                        jsonNum("p99_ms", r.p99Millis, 2),
                        jsonInt("failures", r.failures),

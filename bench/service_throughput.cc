@@ -10,7 +10,7 @@
  * exactly that amortization:
  *
  *   cold:  a fresh CompileService serving the batch's unique requests
- *          (every one a miss, dispatched onto the fleet pool);
+ *          (every one a miss, run on the service's worker pool);
  *   warm:  the same service serving the full repeated batch through
  *          submit() (every request a hit).
  *
@@ -23,7 +23,7 @@
  *
  * Pass --square_json=PATH for a BENCH_service_throughput.json with
  * cold/warm rows, the hit rate, and warm-over-cold; --repeat=N scales
- * the batch; --workers=N the fleet pool; --smoke shrinks for CI.
+ * the batch; --workers=N the worker pool; --smoke shrinks for CI.
  */
 
 #include <algorithm>
@@ -120,7 +120,7 @@ main(int argc, char **argv)
             batch.push_back(u);
 
     std::printf("batch: (SHA2 + SALSA20 + Belle) x SQUARE x %d = %zu "
-                "requests (%zu unique); %d fleet workers; host cpus: "
+                "requests (%zu unique); %d pool workers; host cpus: "
                 "%u\n\n",
                 repeat, batch.size(), uniques.size(), workers, cpus);
 

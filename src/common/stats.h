@@ -1,7 +1,7 @@
 /**
  * @file
- * Small timing/statistics helpers shared by the fleet layer, the
- * service layer, and the throughput benches (one definition, so a
+ * Small timing/statistics helpers shared by the
+ * service layer and the throughput benches (one definition, so a
  * change to percentile semantics cannot silently diverge between the
  * library and the benches).
  */

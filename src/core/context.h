@@ -16,8 +16,8 @@
  *
  * A compilation is therefore a pure function of
  * (Program, Machine, SquareConfig): contexts on different threads never
- * alias, which is what lets the fleet compiler (src/fleet/) run one
- * compilation per worker with bit-identical per-job results.
+ * alias, which is what lets the compile pool (src/fleet/worker_pool.h)
+ * run one compilation per worker with bit-identical per-job results.
  */
 
 #ifndef SQUARE_CORE_CONTEXT_H

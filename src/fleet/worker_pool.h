@@ -1,13 +1,12 @@
 /**
  * @file
- * Persistent cancellable worker pool for asynchronous compilations.
+ * Persistent cancellable worker pool: the one pool that runs
+ * compilations off the caller's thread.
  *
- * FleetCompiler (fleet.h) is a batch engine: it spawns threads per
- * run() and joins them before returning, which is the right shape for
- * offline benchmark sweeps but not for a server — the serving tier
- * needs a pool that outlives any one request, accepts work from event
- * loops without blocking them, and supports two operations batches
- * never need:
+ * The compile service queues every async and batch miss here, and
+ * bench/fleet_throughput.cc measures the same pool.  It outlives any
+ * one request, accepts work from event loops without blocking them,
+ * and supports two operations beyond FIFO execution:
  *
  *  - cancel(id): remove a job that has not started yet (deadline
  *    expiry admission-controls the queue, see service.h);

@@ -92,8 +92,8 @@ struct ModuleStats
 
 /**
  * Whole-program static analysis: a pure function of the Program.
- * Computed once per compilation by default; the service and fleet
- * layers share one const instance per unique program fingerprint
+ * Computed once per compilation by default; the compile service
+ * shares one const instance per unique program fingerprint
  * instead (see ir/analysis_cache.h), passed in via
  * CompileOptions::analysis.
  */

@@ -15,7 +15,7 @@
  *
  *  - compile delays (fixed + jitter): turns every miss into a slow
  *    miss, the traffic shape the async cold path exists for;
- *  - worker deaths: a probability per dequeued async job that the
+ *  - worker deaths: a probability per dequeued compile job that the
  *    worker thread dies before running it (the pool re-queues the job
  *    and respawns — see fleet/worker_pool.h);
  *  - reply-write failures: a probability per flush that the transport

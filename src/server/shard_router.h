@@ -3,7 +3,7 @@
  * Key-affine sharding over N CompileService instances.
  *
  * A long-running server wants more than one service shard: each shard
- * has its own mutex, result cache, and fleet pool, so unrelated
+ * has its own mutex, result cache, and compile pool, so unrelated
  * requests stop contending on one lock.  Routing is by CacheKey hash —
  * the *content address* of the compilation, not the connection — which
  * gives key affinity: a given program x machine x config always lands
@@ -58,7 +58,7 @@ class ShardRouter
   public:
     /**
      * @param shards            number of CompileService shards (>= 1).
-     * @param workers_per_shard fleet workers per shard.
+     * @param workers_per_shard compile-pool workers per shard.
      * @param limits            per-shard LRU cache bound.
      * @param admission         per-shard compile-queue bound.
      */

@@ -1,5 +1,6 @@
 #include "service/service.h"
 
+#include <algorithm>
 #include <chrono>
 #include <exception>
 #include <utility>
@@ -46,7 +47,8 @@ ServiceStats::operator+=(const ServiceStats &o)
 
 CompileService::CompileService(int workers, CacheLimits limits,
                                AdmissionLimits admission)
-    : fleet_(workers), limits_(limits), admission_(admission),
+    : workers_(std::max(1, workers)), limits_(limits),
+      admission_(admission),
       requestsC_(metrics_.counter("requests")),
       hitsC_(metrics_.counter("hits")),
       missesC_(metrics_.counter("misses")),
@@ -157,8 +159,7 @@ CompileService::asyncPool()
         // event loops serving warm hits: nice the workers so a compile
         // on a saturated host yields the CPU to a waking loop thread
         // instead of costing the warm tail whole scheduler quanta.
-        pool_ = std::make_unique<WorkerPool>(fleet_.workers(),
-                                             /*niceness=*/10);
+        pool_ = std::make_unique<WorkerPool>(workers_, /*niceness=*/10);
         if (workerDeathHook_)
             pool_->setDeathHook(workerDeathHook_);
     }
@@ -447,13 +448,48 @@ CompileService::retryAfterLocked() const
     // observed compile-time EWMA.  Clamped so a cold-start estimate
     // can neither hammer the server nor park clients for minutes.
     double per_worker = static_cast<double>(pendingCompiles_ + 1) /
-                        static_cast<double>(fleet_.workers());
+                        static_cast<double>(workers_);
     double est = ewmaCompileMs_ * per_worker;
     if (est < 25.0)
         est = 25.0;
     if (est > 5000.0)
         est = 5000.0;
     return est;
+}
+
+std::shared_ptr<CompileService::Entry>
+CompileService::claimLocked(const CompileRequest &req, const CacheKey &key,
+                            Clock::time_point t0, ServiceReply &reply,
+                            bool &owner)
+{
+    requestsC_.add();
+    auto it = cache_.find(key);
+    if (it != cache_.end()) {
+        hitsC_.add();
+        touchLocked(it->second);
+        return it->second.entry;
+    }
+    // A genuine miss consumes compile capacity: admission control
+    // applies (hits and duplicates are always free).
+    if (!admitLocked(req, reply)) {
+        shedC_.add();
+        obs::recordEvent(obs::Comp::Service, obs::Ev::Shed,
+                         static_cast<uint64_t>(reply.retryAfterMs),
+                         pendingCompiles_, req.traceId);
+        if (metricsEnabled())
+            shedRetryMs_.record(
+                static_cast<int64_t>(reply.retryAfterMs + 0.5));
+        reply.millis = millisSince(t0);
+        return nullptr;
+    }
+    Slot &slot = cache_[key];
+    slot.entry = std::make_shared<Entry>();
+    owner = true;
+    missesC_.add();
+    ++pendingCompiles_;
+    obs::recordEvent(obs::Comp::Service, obs::Ev::Admit, pendingCompiles_,
+                     0, req.traceId);
+    return slot.entry;
 }
 
 void
@@ -466,38 +502,10 @@ CompileService::serveResolved(const CompileRequest &req,
     bool owner = false;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        requestsC_.add();
-        auto it = cache_.find(res.key);
-        if (it == cache_.end()) {
-            // A genuine miss consumes compile capacity: admission
-            // control applies (hits and duplicates are always free).
-            if (!admitLocked(req, reply)) {
-                shedC_.add();
-                obs::recordEvent(
-                    obs::Comp::Service, obs::Ev::Shed,
-                    static_cast<uint64_t>(reply.retryAfterMs),
-                    pendingCompiles_, req.traceId);
-                if (metricsEnabled())
-                    shedRetryMs_.record(static_cast<int64_t>(
-                        reply.retryAfterMs + 0.5));
-                reply.millis = millisSince(t0);
-                return;
-            }
-            auto [ins, inserted] = cache_.try_emplace(res.key);
-            (void)inserted;
-            ins->second.entry = std::make_shared<Entry>();
-            owner = true;
-            missesC_.add();
-            ++pendingCompiles_;
-            obs::recordEvent(obs::Comp::Service, obs::Ev::Admit,
-                             pendingCompiles_, 0, req.traceId);
-            entry = ins->second.entry;
-        } else {
-            hitsC_.add();
-            touchLocked(it->second);
-            entry = it->second.entry;
-        }
+        entry = claimLocked(req, res.key, t0, reply, owner);
     }
+    if (entry == nullptr)
+        return; // shed
 
     if (owner)
         compileAndPublish(req, res, *entry);
@@ -535,36 +543,10 @@ CompileService::submitPreparedAsync(
     bool owner = false;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        requestsC_.add();
-        auto it = cache_.find(key);
-        if (it == cache_.end()) {
-            if (!admitLocked(req, reply)) {
-                shedC_.add();
-                obs::recordEvent(
-                    obs::Comp::Service, obs::Ev::Shed,
-                    static_cast<uint64_t>(reply.retryAfterMs),
-                    pendingCompiles_, req.traceId);
-                if (metricsEnabled())
-                    shedRetryMs_.record(static_cast<int64_t>(
-                        reply.retryAfterMs + 0.5));
-                reply.millis = millisSince(t0);
-                return true;
-            }
-            auto [ins, inserted] = cache_.try_emplace(key);
-            (void)inserted;
-            ins->second.entry = std::make_shared<Entry>();
-            owner = true;
-            missesC_.add();
-            ++pendingCompiles_;
-            obs::recordEvent(obs::Comp::Service, obs::Ev::Admit,
-                             pendingCompiles_, 0, req.traceId);
-            entry = ins->second.entry;
-        } else {
-            hitsC_.add();
-            touchLocked(it->second);
-            entry = it->second.entry;
-        }
+        entry = claimLocked(req, key, t0, reply, owner);
     }
+    if (entry == nullptr)
+        return true; // shed
     // The admission span covers the cache lookup + admission decision
     // (shed replies above are their own span-less fast exit).
     if (req.trace != nullptr)
@@ -766,97 +748,39 @@ std::vector<ServiceReply>
 CompileService::submitBatch(const std::vector<CompileRequest> &reqs)
 {
     std::vector<ServiceReply> replies(reqs.size());
-
-    // Phase 1: resolve every request and claim ownership of the keys
-    // this batch sees first.  Duplicates inside the batch (and keys
-    // already cached or in flight) become hits.
-    struct Claim
-    {
-        size_t reqIndex;
-        Resolved res;
-        std::shared_ptr<Entry> entry;
-    };
-    std::vector<Claim> owned;
-    std::vector<std::shared_ptr<Entry>> entries(reqs.size());
-    std::vector<bool> is_owner(reqs.size(), false);
+    // A latch over the replies that went async: their callbacks fill
+    // replies[i] from a pool thread and count down.
+    std::mutex m;
+    std::condition_variable cv;
+    size_t outstanding = 0;
     for (size_t i = 0; i < reqs.size(); ++i) {
-        ServiceReply &reply = replies[i];
-        reply.label = reqs[i].label;
         Resolved res = resolve(reqs[i]);
         if (!res.error.empty()) {
-            reply.error = res.error;
+            replies[i].label = reqs[i].label;
+            replies[i].error = std::move(res.error);
             requestsC_.add();
             failuresC_.add();
             continue;
         }
-        reply.key = res.key;
-        std::lock_guard<std::mutex> lock(mu_);
-        requestsC_.add();
-        auto [it, inserted] = cache_.try_emplace(res.key);
-        if (inserted) {
-            it->second.entry = std::make_shared<Entry>();
-            missesC_.add();
-            ++pendingCompiles_;
-            obs::recordEvent(obs::Comp::Service, obs::Ev::Admit,
-                             pendingCompiles_, 0,
-                             reqs[i].traceId);
-            is_owner[i] = true;
-            owned.push_back(Claim{i, std::move(res), it->second.entry});
-        } else {
-            hitsC_.add();
-            touchLocked(it->second);
-            replies[i].hit = true;
+        {
+            std::lock_guard<std::mutex> lock(m);
+            ++outstanding;
         }
-        entries[i] = it->second.entry;
-    }
-
-    // Phase 2: dispatch the unique misses onto the fleet worker pool,
-    // sharing the service's analysis cache across the batch.
-    if (!owned.empty()) {
-        std::vector<FleetJob> jobs;
-        jobs.reserve(owned.size());
-        for (const Claim &c : owned) {
-            const CompileRequest &req = reqs[c.reqIndex];
-            FleetJob job;
-            job.label = req.label;
-            job.program = c.res.program;
-            MachineSpec spec = req.machine;
-            job.machine = [spec] { return spec.build(); };
-            job.cfg = req.cfg;
-            jobs.push_back(std::move(job));
-        }
-        FleetResult fleet = fleet_.run(jobs, &analysis_);
-        compilesC_.add(static_cast<int64_t>(owned.size()));
-        for (size_t k = 0; k < owned.size(); ++k) {
-            FleetJobResult &jr = fleet.jobs[k];
-            std::shared_ptr<const CompileResult> result;
-            if (jr.error.empty())
-                result = std::make_shared<const CompileResult>(
-                    std::move(jr.result));
-            else
-                uncache(owned[k].res.key, owned[k].entry);
-            const bool ok = jr.error.empty();
-            publish(*owned[k].entry, std::move(result),
-                    owned[k].res.key, jr.error, jr.millis);
-            if (ok)
-                noteReady(owned[k].res.key, owned[k].entry);
-            // The miss's service time is its compile time on the pool.
-            replies[owned[k].reqIndex].millis = jr.millis;
+        auto done = [&replies, &m, &cv, &outstanding, i](ServiceReply &&r) {
+            std::lock_guard<std::mutex> lock(m);
+            replies[i] = std::move(r);
+            if (--outstanding == 0)
+                cv.notify_all();
+        };
+        if (submitPreparedAsync(reqs[i], std::move(res.program),
+                                res.programFp, res.key, replies[i],
+                                std::move(done))) {
+            std::lock_guard<std::mutex> lock(m);
+            --outstanding;
         }
     }
-
-    // Phase 3: collect every reply (hits may wait on another thread's
-    // in-flight compile; the batch's own misses are ready).
-    for (size_t i = 0; i < reqs.size(); ++i) {
-        if (!entries[i])
-            continue; // resolve error, reply already filled
-        Clock::time_point t0 = Clock::now();
-        fillFromEntry(*entries[i], replies[i]);
-        if (!is_owner[i])
-            replies[i].millis = millisSince(t0);
-        if (!replies[i].error.empty())
-            failuresC_.add();
-    }
+    std::unique_lock<std::mutex> lock(m);
+    cv.wait(lock, [&outstanding] { return outstanding == 0; });
     return replies;
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Compile-as-a-service: content-addressed result caching over the
- * fleet compiler.
+ * Compile-as-a-service: content-addressed result caching over one
+ * compile worker pool.
  *
  * SQUARE's production shape is many clients compiling the *same*
  * modular programs under many policy/machine configurations.  Because
@@ -23,10 +23,10 @@
  *      in flight  -> block until the owning request publishes, then
  *                    share its result (concurrent duplicates compile
  *                    exactly once);
- *      miss       -> compile and publish.  submit() compiles on the
- *                    caller's thread; submitBatch() collects the
- *                    batch's unique misses and dispatches them onto
- *                    the FleetCompiler worker pool.
+ *      miss       -> admit (or shed), compile, and publish.  submit()
+ *                    compiles on the caller's thread;
+ *                    submitPreparedAsync() and submitBatch() queue the
+ *                    miss on the service's one WorkerPool.
  *
  * Compilations triggered by misses share one const ProgramAnalysis per
  * unique program fingerprint through the service's AnalysisCache,
@@ -62,7 +62,6 @@
 
 #include "core/compiler.h"
 #include "core/policy.h"
-#include "fleet/fleet.h"
 #include "fleet/worker_pool.h"
 #include "ir/analysis_cache.h"
 #include "obs/metrics.h"
@@ -236,8 +235,8 @@ class CompileService
     using AsyncDone = std::function<void(ServiceReply &&reply)>;
 
     /**
-     * @param workers   fleet worker threads for submitBatch misses and
-     *                  the async compile pool.
+     * @param workers   threads of the compile pool that runs async and
+     *                  batch misses (clamped to at least 1).
      * @param limits    LRU bound on the result cache (default unbounded).
      * @param admission compile-queue bound (default: admit everything).
      */
@@ -295,9 +294,11 @@ class CompileService
                              ServiceReply &reply, AsyncDone done);
 
     /**
-     * Serve a batch: replies in request order.  The batch's unique
-     * misses run on the fleet worker pool; duplicates inside the batch
-     * (and keys already cached) are hits.
+     * Serve a batch: replies in request order; blocks until every
+     * reply is in.  Each request takes the submitPreparedAsync path,
+     * so the batch's unique misses pass admission control and run on
+     * the compile pool, and duplicates inside the batch (and keys
+     * already cached or in flight) are hits.
      */
     std::vector<ServiceReply> submitBatch(
         const std::vector<CompileRequest> &reqs);
@@ -332,7 +333,7 @@ class CompileService
         return metricsEnabled_.load(std::memory_order_relaxed);
     }
 
-    int workers() const { return fleet_.workers(); }
+    int workers() const { return workers_; }
 
     const CacheLimits &limits() const { return limits_; }
 
@@ -377,7 +378,7 @@ class CompileService
     void setCompileHook(std::function<void()> hook);
 
     /**
-     * Fault-injection probe consulted per dequeued async job; true
+     * Fault-injection probe consulted per dequeued compile job; true
      * kills (and replaces) the worker.  See WorkerPool::setDeathHook.
      */
     void setWorkerDeathHook(std::function<bool()> hook);
@@ -444,6 +445,18 @@ class CompileService
     /** Resolve program + key (building/caching by name as needed). */
     Resolved resolve(const CompileRequest &req);
 
+    /**
+     * Look @p key up for one request and count it; caller holds mu_.
+     * A hit (published or in flight) refreshes recency and returns
+     * the entry.  A miss that passes admission installs a fresh
+     * in-flight entry, sets @p owner, and returns it; a miss over the
+     * cap fills @p reply as an "overloaded" shed and returns null.
+     */
+    std::shared_ptr<Entry> claimLocked(const CompileRequest &req,
+                                       const CacheKey &key,
+                                       Clock::time_point t0,
+                                       ServiceReply &reply, bool &owner);
+
     /** The post-resolution body shared by submit/submitPrepared. */
     void serveResolved(const CompileRequest &req, const Resolved &res,
                        std::chrono::steady_clock::time_point t0,
@@ -508,7 +521,8 @@ class CompileService
     /** Evict LRU published entries until within limits_. */
     void evictOverLimitLocked();
 
-    FleetCompiler fleet_;
+    /** Width of the compile pool (and of retry_after's estimate). */
+    const int workers_;
     AnalysisCache analysis_;
     const CacheLimits limits_;
     const AdmissionLimits admission_;

@@ -19,7 +19,12 @@
  * allocation (one vector per routed gate pushes the ratio above 1.0).
  *
  * This file replaces the global operator new/delete to count, so it
- * must not be linked into any other test binary.
+ * must not be linked into any other test binary.  It replaces the
+ * nothrow forms too: std::stable_sort takes its temporary buffer from
+ * new(n, std::nothrow) and returns it through the sized delete, so a
+ * partial overload set pairs a sanitizer's new with this file's free()
+ * (AddressSanitizer reports alloc-dealloc-mismatch) and leaves those
+ * buffers uncounted.
  */
 
 #include <gtest/gtest.h>
@@ -53,6 +58,20 @@ operator new[](std::size_t n)
     return ::operator new(n);
 }
 
+void *
+operator new(std::size_t n, const std::nothrow_t &) noexcept
+{
+    if (g_counting.load(std::memory_order_relaxed))
+        g_allocs.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(n);
+}
+
+void *
+operator new[](std::size_t n, const std::nothrow_t &tag) noexcept
+{
+    return ::operator new(n, tag);
+}
+
 void
 operator delete(void *p) noexcept
 {
@@ -73,6 +92,18 @@ operator delete(void *p, std::size_t) noexcept
 
 void
 operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, const std::nothrow_t &) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, const std::nothrow_t &) noexcept
 {
     std::free(p);
 }

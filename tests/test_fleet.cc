@@ -1,12 +1,13 @@
 /**
  * @file
- * Fleet-compiler correctness: parallel batch compilation must produce
- * bit-identical per-job results to serial compilation of the same
- * jobs, in submission order, regardless of worker count or thread
- * scheduling.  This is the contract that makes the re-entrant
- * CompileContext design observable: any hidden shared mutable state
- * between concurrent compilations shows up here (and under the CI
- * ThreadSanitizer job, which runs exactly this binary).
+ * Pool-compilation correctness: a batch compiled on the service's
+ * worker pool must produce bit-identical per-request results to
+ * serial compilation of the same requests, in request order,
+ * regardless of pool width or thread scheduling.  This is the contract
+ * that makes the re-entrant CompileContext design observable: any
+ * hidden shared mutable state between concurrent compilations shows
+ * up here (and under the CI ThreadSanitizer job, which runs exactly
+ * this binary).
  *
  * Also covers the policy-configuration units for the MeasureReset and
  * Forced reclamation policies.
@@ -14,145 +15,109 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <string>
+#include <vector>
 
 #include "core/compiler.h"
 #include "core/policy.h"
-#include "fleet/fleet.h"
 #include "ir/analysis.h"
+#include "service/service.h"
 #include "workloads/registry.h"
 
 namespace square {
 namespace {
 
-/** One shared immutable Program per unique workload name. */
-std::shared_ptr<const Program>
-sharedWorkload(const std::string &workload)
+CompileRequest
+namedRequest(const std::string &workload, const SquareConfig &cfg)
 {
-    static std::map<std::string, std::shared_ptr<const Program>> cache;
-    auto [it, inserted] = cache.try_emplace(workload, nullptr);
-    if (inserted)
-        it->second = shareProgram(makeBenchmark(workload));
-    return it->second;
-}
-
-FleetJob
-registryJob(const std::string &workload, const SquareConfig &cfg)
-{
-    // Registry entries have static storage; the builder may hold &info.
-    const BenchmarkInfo &info = findBenchmark(workload);
-    FleetJob job;
-    job.label = workload + "/" + cfg.name;
-    job.program = sharedWorkload(workload);
-    job.machine = [&info] { return paperNisqMachine(info); };
-    job.cfg = cfg;
-    return job;
+    CompileRequest req;
+    req.label = workload + "/" + cfg.name;
+    req.workload = workload;
+    req.machine = MachineSpec::paperFor(findBenchmark(workload));
+    req.cfg = cfg;
+    return req;
 }
 
 /** The mixed batch: heterogeneous workloads, machines, and policies. */
-std::vector<FleetJob>
+std::vector<CompileRequest>
 mixedBatch()
 {
-    std::vector<FleetJob> jobs;
+    std::vector<CompileRequest> reqs;
     for (const char *name : {"SALSA20", "ADDER32", "Belle", "Belle-s"}) {
-        jobs.push_back(registryJob(name, SquareConfig::square()));
-        jobs.push_back(registryJob(name, SquareConfig::eager()));
-        jobs.push_back(registryJob(name, SquareConfig::lazy()));
+        reqs.push_back(namedRequest(name, SquareConfig::square()));
+        reqs.push_back(namedRequest(name, SquareConfig::eager()));
+        reqs.push_back(namedRequest(name, SquareConfig::lazy()));
     }
-    return jobs;
+    return reqs;
 }
 
 void
-expectIdentical(const FleetJobResult &a, const FleetJobResult &b)
+expectIdentical(const CompileResult &a, const CompileResult &b)
 {
-    EXPECT_EQ(a.label, b.label);
-    EXPECT_EQ(a.error, b.error);
-    EXPECT_EQ(a.result.gates, b.result.gates);
-    EXPECT_EQ(a.result.swaps, b.result.swaps);
-    EXPECT_EQ(a.result.depth, b.result.depth);
-    EXPECT_EQ(a.result.aqv, b.result.aqv);
-    EXPECT_EQ(a.result.qubitsUsed, b.result.qubitsUsed);
-    EXPECT_EQ(a.result.peakLive, b.result.peakLive);
-    EXPECT_EQ(a.result.reclaimCount, b.result.reclaimCount);
-    EXPECT_EQ(a.result.skipCount, b.result.skipCount);
-    EXPECT_EQ(a.result.commFactor, b.result.commFactor);
-    EXPECT_EQ(a.result.primaryInitialSites, b.result.primaryInitialSites);
-    EXPECT_EQ(a.result.primaryFinalSites, b.result.primaryFinalSites);
-    ASSERT_EQ(a.result.usageCurve.size(), b.result.usageCurve.size());
-    for (size_t i = 0; i < a.result.usageCurve.size(); ++i) {
-        EXPECT_EQ(a.result.usageCurve[i].time,
-                  b.result.usageCurve[i].time);
-        EXPECT_EQ(a.result.usageCurve[i].live,
-                  b.result.usageCurve[i].live);
+    EXPECT_EQ(a.gates, b.gates);
+    EXPECT_EQ(a.swaps, b.swaps);
+    EXPECT_EQ(a.depth, b.depth);
+    EXPECT_EQ(a.aqv, b.aqv);
+    EXPECT_EQ(a.qubitsUsed, b.qubitsUsed);
+    EXPECT_EQ(a.peakLive, b.peakLive);
+    EXPECT_EQ(a.reclaimCount, b.reclaimCount);
+    EXPECT_EQ(a.skipCount, b.skipCount);
+    EXPECT_EQ(a.commFactor, b.commFactor);
+    EXPECT_EQ(a.primaryInitialSites, b.primaryInitialSites);
+    EXPECT_EQ(a.primaryFinalSites, b.primaryFinalSites);
+    ASSERT_EQ(a.usageCurve.size(), b.usageCurve.size());
+    for (size_t i = 0; i < a.usageCurve.size(); ++i) {
+        EXPECT_EQ(a.usageCurve[i].time, b.usageCurve[i].time);
+        EXPECT_EQ(a.usageCurve[i].live, b.usageCurve[i].live);
     }
 }
 
 TEST(Fleet, ParallelMatchesSerialBitIdentically)
 {
-    std::vector<FleetJob> jobs = mixedBatch();
+    std::vector<CompileRequest> reqs = mixedBatch();
 
-    FleetResult serial = FleetCompiler(1).run(jobs);
-    FleetResult parallel = FleetCompiler(8).run(jobs);
+    CompileService serial_service(1);
+    CompileService parallel_service(8);
+    std::vector<ServiceReply> serial = serial_service.submitBatch(reqs);
+    std::vector<ServiceReply> parallel =
+        parallel_service.submitBatch(reqs);
 
-    ASSERT_EQ(serial.jobs.size(), jobs.size());
-    ASSERT_EQ(parallel.jobs.size(), jobs.size());
-    EXPECT_EQ(serial.failures, 0);
-    EXPECT_EQ(parallel.failures, 0);
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        SCOPED_TRACE(jobs[i].label + " (job " + std::to_string(i) + ")");
-        expectIdentical(serial.jobs[i], parallel.jobs[i]);
+    ASSERT_EQ(serial.size(), reqs.size());
+    ASSERT_EQ(parallel.size(), reqs.size());
+    EXPECT_EQ(serial_service.stats().failures, 0);
+    EXPECT_EQ(parallel_service.stats().failures, 0);
+    for (size_t i = 0; i < reqs.size(); ++i) {
+        SCOPED_TRACE(reqs[i].label + " (request " + std::to_string(i) +
+                     ")");
+        EXPECT_EQ(serial[i].label, reqs[i].label);
+        EXPECT_EQ(parallel[i].label, reqs[i].label);
+        EXPECT_EQ(serial[i].error, parallel[i].error);
+        ASSERT_NE(serial[i].result, nullptr);
+        ASSERT_NE(parallel[i].result, nullptr);
+        expectIdentical(*serial[i].result, *parallel[i].result);
     }
 }
 
 TEST(Fleet, ParallelMatchesDirectCompile)
 {
-    // The fleet path adds no hidden state: each job equals a direct
-    // compile() of the same (program, machine, policy).
-    std::vector<FleetJob> jobs = {
-        registryJob("SALSA20", SquareConfig::square()),
-        registryJob("Belle-s", SquareConfig::eager()),
-    };
-    FleetResult fleet = FleetCompiler(4).run(jobs);
-    ASSERT_EQ(fleet.jobs.size(), 2u);
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        SCOPED_TRACE(jobs[i].label);
-        Machine m = jobs[i].machine();
-        CompileResult direct = compile(*jobs[i].program, m, jobs[i].cfg, {});
-        EXPECT_EQ(fleet.jobs[i].result.gates, direct.gates);
-        EXPECT_EQ(fleet.jobs[i].result.swaps, direct.swaps);
-        EXPECT_EQ(fleet.jobs[i].result.depth, direct.depth);
-        EXPECT_EQ(fleet.jobs[i].result.aqv, direct.aqv);
-        EXPECT_EQ(fleet.jobs[i].result.qubitsUsed, direct.qubitsUsed);
-    }
-}
-
-TEST(Fleet, SharedProgramMatchesRebuildPathBitIdentically)
-{
-    // Sharing one immutable Program (and one ProgramAnalysis) across
-    // replicas must change nothing observable: every job's result is
-    // bit-identical to rebuilding the program from scratch and running
-    // a plain compile() with an internally computed analysis.
-    std::vector<FleetJob> jobs;
-    for (int r = 0; r < 3; ++r) {
-        jobs.push_back(registryJob("SALSA20", SquareConfig::square()));
-        jobs.push_back(registryJob("ADDER32", SquareConfig::eager()));
-    }
-    FleetResult shared = FleetCompiler(4).run(jobs);
-    ASSERT_EQ(shared.jobs.size(), jobs.size());
-    EXPECT_EQ(shared.failures, 0);
-
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        SCOPED_TRACE(jobs[i].label + " (job " + std::to_string(i) + ")");
-        const std::string workload =
-            jobs[i].label.substr(0, jobs[i].label.find('/'));
-        Program rebuilt = makeBenchmark(workload);
-        Machine m = jobs[i].machine();
-        FleetJobResult direct;
-        direct.label = jobs[i].label;
-        direct.result = compile(rebuilt, m, jobs[i].cfg, {});
-        direct.issued = direct.result.gates + direct.result.swaps;
-        expectIdentical(shared.jobs[i], direct);
+    // The pool path adds no hidden state: each reply equals a direct
+    // compile() of a freshly rebuilt program on its paper machine,
+    // with an internally computed analysis (the service shares one
+    // program and one analysis per workload across the batch).
+    std::vector<CompileRequest> reqs = mixedBatch();
+    CompileService service(4);
+    std::vector<ServiceReply> replies = service.submitBatch(reqs);
+    ASSERT_EQ(replies.size(), reqs.size());
+    for (size_t i = 0; i < reqs.size(); ++i) {
+        SCOPED_TRACE(reqs[i].label + " (request " + std::to_string(i) +
+                     ")");
+        ASSERT_TRUE(replies[i].error.empty()) << replies[i].error;
+        ASSERT_NE(replies[i].result, nullptr);
+        const BenchmarkInfo &info = findBenchmark(reqs[i].workload);
+        Program rebuilt = makeBenchmark(reqs[i].workload);
+        Machine m = MachineSpec::paperFor(info).build();
+        CompileResult direct = compile(rebuilt, m, reqs[i].cfg, {});
+        expectIdentical(*replies[i].result, direct);
     }
 }
 
@@ -160,59 +125,57 @@ TEST(Fleet, AnalysisComputedOncePerUniqueProgram)
 {
     // 4 replicas x 3 policies per workload, 2 unique workloads: the
     // batch must analyze each unique program fingerprint exactly once.
-    std::vector<FleetJob> jobs;
+    std::vector<CompileRequest> reqs;
     for (int r = 0; r < 4; ++r) {
         for (const char *name : {"SALSA20", "Belle-s"}) {
-            jobs.push_back(registryJob(name, SquareConfig::square()));
-            jobs.push_back(registryJob(name, SquareConfig::eager()));
-            jobs.push_back(registryJob(name, SquareConfig::lazy()));
+            reqs.push_back(namedRequest(name, SquareConfig::square()));
+            reqs.push_back(namedRequest(name, SquareConfig::eager()));
+            reqs.push_back(namedRequest(name, SquareConfig::lazy()));
         }
     }
+    CompileService service(8);
     int64_t before = ProgramAnalysis::constructionCount();
-    FleetResult r = FleetCompiler(8).run(jobs);
+    std::vector<ServiceReply> replies = service.submitBatch(reqs);
     int64_t after = ProgramAnalysis::constructionCount();
-    EXPECT_EQ(r.failures, 0);
+    ASSERT_EQ(replies.size(), reqs.size());
+    ServiceStats s = service.stats();
+    EXPECT_EQ(s.failures, 0);
+    EXPECT_EQ(s.compiles, 6);
+    EXPECT_EQ(s.analysisComputes, 2);
     EXPECT_EQ(after - before, 2);
 
-    // An external cache carries the artifacts across batches: a second
-    // batch of the same workloads recomputes nothing.
-    AnalysisCache cache;
-    FleetCompiler(4).run(jobs, &cache);
-    EXPECT_EQ(cache.computeCount(), 2);
-    int64_t third = ProgramAnalysis::constructionCount();
-    FleetCompiler(4).run(jobs, &cache);
-    EXPECT_EQ(cache.computeCount(), 2);
-    EXPECT_EQ(ProgramAnalysis::constructionCount(), third);
+    // The service's analysis cache outlives the batch: new keys over
+    // the same programs compile without analyzing again.
+    std::vector<CompileRequest> again = {
+        namedRequest("SALSA20", SquareConfig::squareLaaOnly()),
+        namedRequest("Belle-s", SquareConfig::squareLaaOnly()),
+    };
+    service.submitBatch(again);
+    s = service.stats();
+    EXPECT_EQ(s.compiles, 8);
+    EXPECT_EQ(s.analysisComputes, 2);
+    EXPECT_EQ(ProgramAnalysis::constructionCount(), after);
 }
 
-TEST(Fleet, FailedJobsAreReportedNotFatal)
+TEST(Fleet, FailedRequestsAreReportedNotFatal)
 {
-    // A program that cannot fit its machine fails its own job only.
-    std::vector<FleetJob> jobs = {
-        registryJob("SALSA20", SquareConfig::square()),
-        registryJob("SHA2", SquareConfig::lazy()),
+    // A program that cannot fit its machine fails its own request only.
+    std::vector<CompileRequest> reqs = {
+        namedRequest("SALSA20", SquareConfig::square()),
+        namedRequest("SHA2", SquareConfig::lazy()),
     };
     // SHA2 under LAZY on a tiny machine cannot fit: 4 sites.
-    jobs[1].machine = [] { return Machine::nisqLattice(2, 2); };
-    FleetResult r = FleetCompiler(2).run(jobs);
-    EXPECT_EQ(r.failures, 1);
-    EXPECT_TRUE(r.jobs[0].error.empty());
-    EXPECT_FALSE(r.jobs[1].error.empty());
-    EXPECT_GT(r.totalIssued, 0);
-}
-
-TEST(Fleet, AggregatesAreConsistent)
-{
-    std::vector<FleetJob> jobs = mixedBatch();
-    FleetResult r = FleetCompiler(4).run(jobs);
-    int64_t issued = 0;
-    for (const FleetJobResult &j : r.jobs)
-        issued += j.issued;
-    EXPECT_EQ(r.totalIssued, issued);
-    EXPECT_GT(r.fleetGatesPerSec, 0);
-    EXPECT_GT(r.wallMillis, 0);
-    EXPECT_LE(r.p50Millis, r.p99Millis);
-    EXPECT_EQ(r.workers, 4);
+    std::string error;
+    ASSERT_TRUE(MachineSpec::parse("nisq:2x2", reqs[1].machine, error));
+    CompileService service(2);
+    std::vector<ServiceReply> replies = service.submitBatch(reqs);
+    ASSERT_EQ(replies.size(), 2u);
+    EXPECT_TRUE(replies[0].error.empty());
+    ASSERT_NE(replies[0].result, nullptr);
+    EXPECT_GT(replies[0].result->gates, 0);
+    EXPECT_FALSE(replies[1].error.empty());
+    EXPECT_EQ(replies[1].result, nullptr);
+    EXPECT_EQ(service.stats().failures, 1);
 }
 
 // -------------------------------------------------------------------

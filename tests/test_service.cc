@@ -42,6 +42,50 @@ namedRequest(const std::string &workload, const SquareConfig &cfg)
     return req;
 }
 
+/** A gate the tests use to hold compiles inside the compile hook. */
+struct CompileGate
+{
+    std::mutex m;
+    std::condition_variable cv;
+    bool open = false;
+    int parked = 0;
+
+    std::function<void()>
+    hook()
+    {
+        return [this] {
+            std::unique_lock<std::mutex> lock(m);
+            ++parked;
+            cv.notify_all();
+            cv.wait(lock, [this] { return open; });
+        };
+    }
+
+    void
+    waitParked(int n)
+    {
+        std::unique_lock<std::mutex> lock(m);
+        cv.wait(lock, [this, n] { return parked >= n; });
+    }
+
+    void
+    release()
+    {
+        std::lock_guard<std::mutex> lock(m);
+        open = true;
+        cv.notify_all();
+    }
+};
+
+/** Poll @p done until it holds (for counters a pool thread advances). */
+template <typename Pred>
+void
+waitUntil(Pred done)
+{
+    while (!done())
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+}
+
 // -------------------------------------------------------------------
 // Program fingerprints
 // -------------------------------------------------------------------
@@ -506,7 +550,18 @@ TEST(Lru, SubmitBatchAccountsAndEvicts)
         namedRequest("ADDER4", SquareConfig::eager()),
         namedRequest("ADDER4", SquareConfig::square()), // in-batch dup
     };
-    std::vector<ServiceReply> replies = service.submitBatch(batch);
+    // Batch misses start on the pool as soon as they are claimed: hold
+    // the compiles until all three requests are claimed, so the second
+    // key's publish cannot evict the first before its duplicate
+    // arrives.
+    CompileGate gate;
+    service.setCompileHook(gate.hook());
+    std::vector<ServiceReply> replies;
+    std::thread batch_th(
+        [&] { replies = service.submitBatch(batch); });
+    waitUntil([&] { return service.stats().requests == 3; });
+    gate.release();
+    batch_th.join();
     ASSERT_EQ(replies.size(), 3u);
     for (const ServiceReply &r : replies) {
         EXPECT_TRUE(r.error.empty());
@@ -846,41 +901,6 @@ prepared(const std::string &workload, const SquareConfig &cfg)
     return p;
 }
 
-/** A gate the tests use to hold compiles inside the compile hook. */
-struct CompileGate
-{
-    std::mutex m;
-    std::condition_variable cv;
-    bool open = false;
-    int parked = 0;
-
-    std::function<void()>
-    hook()
-    {
-        return [this] {
-            std::unique_lock<std::mutex> lock(m);
-            ++parked;
-            cv.notify_all();
-            cv.wait(lock, [this] { return open; });
-        };
-    }
-
-    void
-    waitParked(int n)
-    {
-        std::unique_lock<std::mutex> lock(m);
-        cv.wait(lock, [this, n] { return parked >= n; });
-    }
-
-    void
-    release()
-    {
-        std::lock_guard<std::mutex> lock(m);
-        open = true;
-        cv.notify_all();
-    }
-};
-
 TEST(AsyncService, WarmHitIsServedSynchronously)
 {
     CompileService service(2);
@@ -1099,6 +1119,46 @@ TEST(AsyncService, BatchTierShedsBeforeInteractive)
     ServiceStats s = service.stats();
     EXPECT_EQ(s.shed, 1);
     EXPECT_EQ(s.compiles, 3);
+}
+
+TEST(AsyncService, BatchMissesPassAdmissionControl)
+{
+    // submitBatch claims through the same admission check as served
+    // misses: with one pending slot held by the batch's first compile,
+    // its two other distinct keys are shed, not queued.
+    AdmissionLimits admission;
+    admission.maxPending = 1;
+    CompileService service(1, {}, admission);
+    CompileGate gate;
+    service.setCompileHook(gate.hook());
+    std::vector<CompileRequest> batch = {
+        namedRequest("ADDER4", SquareConfig::square()),
+        namedRequest("ADDER4", SquareConfig::eager()),
+        namedRequest("RD53", SquareConfig::square()),
+    };
+    std::vector<ServiceReply> replies;
+    std::thread batch_th(
+        [&] { replies = service.submitBatch(batch); });
+    waitUntil([&] { return service.stats().shed == 2; });
+    gate.release();
+    batch_th.join();
+
+    ASSERT_EQ(replies.size(), 3u);
+    EXPECT_TRUE(replies[0].error.empty());
+    EXPECT_TRUE(replies[0].status.empty());
+    ASSERT_NE(replies[0].result, nullptr);
+    for (size_t i = 1; i < 3; ++i) {
+        SCOPED_TRACE(batch[i].label);
+        EXPECT_EQ(replies[i].label, batch[i].label);
+        EXPECT_EQ(replies[i].status, "overloaded");
+        EXPECT_GT(replies[i].retryAfterMs, 0.0);
+        EXPECT_EQ(replies[i].result, nullptr);
+    }
+    ServiceStats s = service.stats();
+    EXPECT_EQ(s.requests, 3);
+    EXPECT_EQ(s.shed, 2);
+    EXPECT_EQ(s.compiles, 1);
+    EXPECT_EQ(s.pendingCompiles, 0u);
 }
 
 TEST(AsyncService, ExpiredDeadlineCancelsBeforeCompiling)

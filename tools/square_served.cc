@@ -20,7 +20,7 @@
  *                      port is announced on stderr and in --port-file)
  *   --host=A           IPv4 bind address (default 127.0.0.1)
  *   --shards=N         CompileService shards (default 2)
- *   --workers=N        fleet workers per shard (default 1)
+ *   --workers=N        compile-pool workers per shard (default 1)
  *   --event-threads=N  transport event-loop threads (default 1)
  *   --cache-entries=N  per-shard LRU bound, results (default unbounded)
  *   --cache-bytes=N    per-shard LRU bound, bytes (default unbounded)
